@@ -2077,6 +2077,112 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    /// An access tracer that appends to a log the test keeps a handle on.
+    #[derive(Debug, Default, Clone)]
+    struct Log(std::rc::Rc<std::cell::RefCell<Vec<(CodeAddr, bool, u64)>>>);
+
+    impl crate::machine::AccessTracer for Log {
+        fn record(&mut self, at: CodeAddr, is_store: bool, va: u64) {
+            self.0.borrow_mut().push((at, is_store, va));
+        }
+    }
+
+    #[test]
+    fn tracer_sees_every_access_in_order_without_changing_the_run() {
+        // main: a fused load+load, a fused bndcu+store, a call whose
+        // callee stores, then a load from unmapped memory that faults.
+        let build = || {
+            let mut p = Program::new();
+            let mut main = FunctionBuilder::new("main");
+            main.push(Inst::Lea {
+                dst: Reg::Rbx,
+                base: Reg::Rsp,
+                offset: -256,
+            });
+            main.push(Inst::BndMk {
+                bnd: 0,
+                lower: 0,
+                upper: u64::MAX,
+            });
+            main.push(Inst::Load {
+                dst: Reg::Rax,
+                addr: Reg::Rbx,
+                offset: 0,
+            });
+            main.push(Inst::Load {
+                dst: Reg::Rcx,
+                addr: Reg::Rbx,
+                offset: 8,
+            });
+            main.push(Inst::BndCu {
+                bnd: 0,
+                reg: Reg::Rbx,
+            });
+            main.push(Inst::Store {
+                src: Reg::Rax,
+                addr: Reg::Rbx,
+                offset: 16,
+            });
+            main.push(Inst::Call(FuncId(1)));
+            main.push(Inst::MovImm {
+                dst: Reg::Rdx,
+                imm: 0x100,
+            });
+            main.push(Inst::Load {
+                dst: Reg::R8,
+                addr: Reg::Rdx,
+                offset: 0,
+            });
+            main.push(Inst::Halt);
+            p.add_function(main.finish());
+            let mut helper = FunctionBuilder::new("helper");
+            helper.push(Inst::Store {
+                src: Reg::Rcx,
+                addr: Reg::Rbx,
+                offset: 24,
+            });
+            helper.push(Inst::Ret);
+            p.add_function(helper.finish());
+            p
+        };
+        let mut plain = Machine::new(build());
+        let plain_out = plain.run();
+        let log = Log::default();
+        let mut traced = Machine::new(build());
+        traced.set_tracer(Box::new(log.clone()));
+        let traced_out = traced.run();
+
+        assert_eq!(plain_out, traced_out);
+        assert!(
+            matches!(traced_out, crate::RunOutcome::Trapped(Trap::Mmu(_))),
+            "{traced_out:?}"
+        );
+        assert_eq!(plain.stats(), traced.stats());
+        assert_eq!(plain.cycles().to_bits(), traced.cycles().to_bits());
+        assert_eq!(plain.pc(), traced.pc());
+        assert_eq!(plain.state_digest(), traced.state_digest());
+
+        let base = crate::machine::STACK_TOP - 64 - 256;
+        let main = |index| CodeAddr {
+            func: FuncId(0),
+            index,
+        };
+        let helper = |index| CodeAddr {
+            func: FuncId(1),
+            index,
+        };
+        assert_eq!(
+            *log.0.borrow(),
+            vec![
+                (main(2), false, base),
+                (main(3), false, base + 8),
+                (main(5), true, base + 16),
+                (helper(0), true, base + 24),
+                (main(8), false, 0x100),
+            ]
+        );
+    }
+
     fn decode_main(build: impl Fn(&mut FunctionBuilder)) -> Vec<crate::decode::DecodedFunction> {
         let mut b = FunctionBuilder::new("main");
         build(&mut b);

@@ -632,12 +632,16 @@ impl Machine {
     /// preemption tick — in exactly that order. [`Machine::run_until`] is
     /// bit-for-bit equivalent to looping on `step` (property-tested in
     /// `tests/properties.rs`); `step` remains for callers that need
-    /// per-instruction observation.
+    /// per-instruction observation. Like `run_until`, it does nothing on
+    /// a halted machine.
     ///
     /// # Errors
     ///
     /// Returns the [`Trap`] the instruction (or a delivered event) raised.
     pub fn step(&mut self) -> Result<(), Trap> {
+        if self.halted.is_some() {
+            return Ok(());
+        }
         if self.stats.instructions >= self.fuel {
             return Err(Trap::OutOfFuel);
         }
@@ -3039,6 +3043,25 @@ mod tests {
         let mut buf = [0u8; 8];
         m.space.peek(VirtAddr(SCRATCH + 32), &mut buf);
         assert_eq!(u64::from_le_bytes(buf), 9);
+    }
+
+    #[test]
+    fn step_on_a_halted_machine_retires_nothing() {
+        let (out, mut m) = run_main(|b| {
+            b.push(Inst::Halt);
+            b.push(Inst::MovImm {
+                dst: Reg::Rax,
+                imm: 5,
+            });
+            b.push(Inst::Halt);
+        });
+        assert_eq!(out.expect_exit(), 0);
+        let before = (m.stats, m.pc, m.state_digest());
+        m.step().unwrap();
+        m.run_until(m.stats.instructions + 1).unwrap();
+        assert_eq!(m.reg(Reg::Rax), 0);
+        assert_eq!(m.exit_code(), Some(0));
+        assert_eq!((m.stats, m.pc, m.state_digest()), before);
     }
 
     #[test]

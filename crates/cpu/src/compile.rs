@@ -1,15 +1,17 @@
-//! The threaded-code execution engine.
+//! The execution engine: compiled runs and the one set of op arms.
 //!
-//! On top of the flat [`DecodedInst`] streams built by `decode`, this
-//! stage compiles every basic-block *entry point* into a
-//! [`CompiledRun`]: a chain of pre-bound operations ([`COp`]) covering
-//! the straight-line ops from the entry to the block terminator, with
-//! operand forms resolved at compile time — direct-call return addresses
-//! pre-encoded, SFI mask/load dependencies pre-classified, and the
-//! dominant consecutive op pairs of the workload profiles fused into
-//! single-dispatch superinstructions. `Machine::run_until` drives whole
-//! compiled runs per dispatch instead of matching on [`DecodedOp`] per
-//! instruction; see `Machine::exec_chain` below for the executor.
+//! `decode` lowers every function body to a flat stream of single-form
+//! [`COp`]s. This stage compiles every basic-block *entry point* into a
+//! [`CompiledRun`]: the block's ops from the entry to the terminator,
+//! with the dominant consecutive op pairs of the workload profiles fused
+//! into single-dispatch superinstructions. `Machine::exec_chain` drives
+//! compiled runs back to back; an entry in the middle of a block (a
+//! replay seek, a `sigreturn`, `call_function`) or a block the horizon
+//! cuts short runs the block's single-form ops straight from the decoded
+//! stream, and `Machine::step` retires one of them at a time. All of
+//! them go through one function, `Machine::exec`, so every op's
+//! semantics and charges are written once: a fused arm runs its two
+//! halves' bodies back to back.
 //!
 //! # Fusion set
 //!
@@ -29,35 +31,29 @@
 //!
 //! # Cost accounting
 //!
-//! The split is architectural state vs cost bookkeeping, not a per-block
-//! cost sum: every op still adds its static charge to the cycle counter
-//! in retirement order, because f64 addition is non-associative and the
-//! cycle total must stay bit-identical to the per-instruction stepper
-//! (summing a block's static charges once and settling them in one add
-//! would change the rounding sequence). The counter itself rides in an
-//! executor-local f64 — same adds, same order, settled to
-//! `stats.cycles` on every exit — so the loop-carried FP dependency
-//! stays in a register instead of a memory round trip per op. What
-//! *is* lifted out of the per-op path is the integer bookkeeping: the
-//! pc, `last_masked`,
-//! the retired-instruction count and the retired load/store counts live
-//! in executor locals for the whole
-//! *chain* of compiled runs — a taken branch falls straight into its
-//! target's run — and are settled only when the chain hands control
-//! back (horizon, halt, trap, or a pc without a compiled run) or
-//! around a `Generic` delegation, whose `exec_op` body reads `stats`
-//! directly. Dynamic
+//! Every op adds its static charge to the cycle counter in retirement
+//! order, because f64 addition is non-associative and the cycle total
+//! must not depend on how instructions are grouped (summing a block's
+//! static charges once and settling them in one add would change the
+//! rounding sequence). The counter rides in the executor's [`Chain`]
+//! state — same adds, same order, settled to `stats.cycles` on every
+//! exit — so the loop-carried FP dependency stays in a register instead
+//! of a memory round trip per op. What *is* lifted out of the per-op
+//! path is the integer bookkeeping: the pc, `last_masked` and the
+//! retired count live in the chain state for the whole *chain* of runs —
+//! a taken branch falls straight into its target's run — and are settled
+//! only when the chain hands control back (horizon, halt, trap) or
+//! around a cold op, whose body reads the machine directly. Dynamic
 //! charges (MMU walks, cache miss penalties, the store-buffer sliver,
 //! event costs) stay on their existing paths.
 //!
 //! # Inline translation caches
 //!
-//! Every compiled memory op owns one
-//! [`memsentry_mmu::TransCacheEntry`] slot in the machine's side table
-//! (`Machine::ic`, indexed `ic_base[func] + source index`): a
-//! generation-valid same-page probe goes straight to physical memory
-//! through [`memsentry_mmu::AddressSpace::ic_read_u64`] /
-//! [`ic_write_u64`](memsentry_mmu::AddressSpace::ic_write_u64),
+//! Every memory op owns one [`memsentry_mmu::TransCacheEntry`] slot in
+//! the machine's side table (`Machine::ic`, indexed `ic_base[func] +
+//! source index`): a generation-valid same-page probe goes straight to
+//! physical memory through [`memsentry_mmu::AddressSpace::ic_read_u64`]
+//! / [`ic_write_u64`](memsentry_mmu::AddressSpace::ic_write_u64),
 //! skipping the full `check_page` pipeline while reporting the
 //! identical `AccessInfo` and TLB-hit statistic it would have
 //! produced. The slots are pure memo state — excluded from snapshots
@@ -67,102 +63,130 @@
 //! leaves the table empty so every probe takes the full path.
 
 use memsentry_ir::{AluOp, CodeAddr, Cond, FuncId, Label, Reg};
+use memsentry_mmu::space::AccessInfo;
 use memsentry_mmu::{Pkru, VirtAddr};
 
-use crate::decode::{DecodedFunction, DecodedInst, DecodedOp};
+use crate::decode::DecodedFunction;
 use crate::machine::Machine;
 use crate::trap::Trap;
 
 /// A pre-bound operation: one (or, fused, two) source instruction(s)
-/// with operands resolved at compile time. Static cycle charges ride
-/// along so the executor never consults the decoded stream.
+/// with operands resolved and static cycle charges attached. `decode`
+/// emits the single forms, index-1:1 with each function body; the fused
+/// forms exist only inside compiled runs.
+///
+/// A hot op's `cost` is the index of its static charge in the machine's
+/// interned [`Charges`] table: hot charges depend only on the op kind, so
+/// one byte names them and an op fits in three words. The cold ops carry
+/// their charge itself (AES and key-staging charges scale with operands).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum COp {
     /// `dst <- imm`.
-    MovImm { dst: Reg, imm: u64, cost: f64 },
+    MovImm { dst: Reg, imm: u64, cost: u8 },
     /// `dst <- src`.
-    Mov { dst: Reg, src: Reg, cost: f64 },
+    Mov { dst: Reg, src: Reg, cost: u8 },
     /// `dst <- base + offset`.
     Lea {
         dst: Reg,
         base: Reg,
         offset: i64,
-        cost: f64,
+        cost: u8,
     },
-    /// `dst <- dst op src`.
+    /// `dst <- dst op src`; an `And` masks `dst` for the SFI
+    /// load-dependency model.
     AluReg {
         op: AluOp,
         dst: Reg,
         src: Reg,
-        masks: bool,
-        cost: f64,
+        cost: u8,
     },
     /// `dst <- dst op imm`.
     AluImm {
         op: AluOp,
         dst: Reg,
         imm: u64,
-        masks: bool,
-        cost: f64,
+        cost: u8,
     },
     /// 8-byte load.
     Load {
         dst: Reg,
         addr: Reg,
         offset: i64,
-        cost: f64,
+        cost: u8,
     },
     /// 8-byte store.
     Store {
         src: Reg,
         addr: Reg,
         offset: i64,
-        cost: f64,
+        cost: u8,
     },
     /// Label/nop/fence slot: cycles only.
-    Skip { cost: f64 },
+    Skip { cost: u8 },
     /// Load a bound register.
     BndMk {
         bnd: u8,
         lower: u64,
         upper: u64,
-        cost: f64,
+        cost: u8,
     },
     /// Upper-bound check.
-    BndCu { bnd: u8, reg: Reg, cost: f64 },
+    BndCu { bnd: u8, reg: Reg, cost: u8 },
     /// Lower-bound check.
-    BndCl { bnd: u8, reg: Reg, cost: f64 },
+    BndCl { bnd: u8, reg: Reg, cost: u8 },
     /// Read `pkru`.
-    RdPkru { dst: Reg, cost: f64 },
+    RdPkru { dst: Reg, cost: u8 },
     /// Write `pkru`.
-    WrPkru { src: Reg, cost: f64 },
-    /// Unconditional branch (terminator).
-    Jmp { target: u32, cost: f64 },
-    /// Conditional branch (terminator).
+    WrPkru { src: Reg, cost: u8 },
+    /// Unconditional branch to a resolved instruction index (terminator).
+    Jmp { target: u32, cost: u8 },
+    /// Conditional branch to a resolved instruction index (terminator).
     JmpIf {
         cond: Cond,
         a: Reg,
         b: Reg,
         target: u32,
+        cost: u8,
+    },
+    /// A branch whose label does not exist in the function (terminator);
+    /// traps with [`Trap::BadLabel`] when (and only when) executed.
+    BadLabel { label: Label, cost: u8 },
+    /// Direct call with the return address pre-encoded (terminator).
+    Call { callee: FuncId, ret: u64, cost: u8 },
+    /// Indirect call with the return address pre-encoded (terminator).
+    CallIndirect { target: Reg, ret: u64, cost: u8 },
+    /// Return (terminator).
+    Ret { cost: u8 },
+    /// Stop the machine (terminator).
+    Halt { cost: u8 },
+
+    // --- cold ops: run by `Machine::exec_cold` on the settled machine ---
+    /// System call (terminator: it may exit, or jump via `sigreturn`).
+    Syscall { nr: u64, cost: f64 },
+    /// Hypercall (terminator: it may exit).
+    VmCall { nr: u64, cost: f64 },
+    /// Allocator call.
+    Alloc { size: Reg, cost: f64 },
+    /// Allocator release.
+    Free { ptr: Reg, cost: f64 },
+    /// EPT switch.
+    VmFunc { eptp: u32, cost: f64 },
+    /// Stage AES keys from `ymm` to `xmm`.
+    YmmToXmm { cost: f64 },
+    /// `AesKeygen` / `AesImc`: key material derived in registers, cycles
+    /// only.
+    AesSetup { cost: f64 },
+    /// In-place region encryption/decryption.
+    AesRegion {
+        base: Reg,
+        chunks: u32,
+        decrypt: bool,
         cost: f64,
     },
-    /// Unresolved branch label (terminator; traps when executed).
-    BadLabel { label: Label, cost: f64 },
-    /// Direct call with the return address pre-encoded (terminator).
-    Call { callee: FuncId, ret: u64, cost: f64 },
-    /// Indirect call with the return address pre-encoded (terminator).
-    CallIndirect { target: Reg, ret: u64, cost: f64 },
-    /// Return (terminator).
-    Ret { cost: f64 },
-    /// Stop the machine (terminator).
-    Halt { cost: f64 },
-    /// Straight-line op outside the hot set (allocator, EPT switch, AES
-    /// region, SGX/key staging): delegates to `exec_op` with the pc and
-    /// `last_masked` synced around the call.
-    Generic { inst: DecodedInst },
-    /// Block-terminating op outside the hot set (syscall, hypercall):
-    /// delegates to `exec_op`, which may redirect the pc or halt.
-    GenericEnd { inst: DecodedInst },
+    /// Enclave entry.
+    SgxEnter { cost: f64 },
+    /// Enclave exit.
+    SgxExit { cost: f64 },
 
     // --- fused superinstructions (see module docs for the data) -------
     /// `aluimm+aluimm` — the dominant pair in every profile (34.8%
@@ -171,188 +195,219 @@ pub(crate) enum COp {
         op1: AluOp,
         dst1: Reg,
         imm1: u64,
-        cost1: f64,
+        cost1: u8,
         op2: AluOp,
         dst2: Reg,
         imm2: u64,
-        masks2: bool,
-        cost2: f64,
+        cost2: u8,
     },
-    /// `aluimm+load` (15.7%); also covers the SFI `mask+load` bracket —
-    /// `sfi` pre-resolves the load's mask dependency on the first op and
-    /// `mid` is the masked state between the two (the `last_masked`
-    /// value a fault in the load must leave behind).
+    /// `aluimm+load` (15.7%); also covers the SFI `mask+load` bracket,
+    /// whose load takes the dependency charge.
     AluImmLoad {
         op1: AluOp,
         dst1: Reg,
         imm1: u64,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
-        mid: Option<Reg>,
-        sfi: bool,
+        cost2: u8,
     },
     /// `load+aluimm` (17.1%).
     LoadAluImm {
         dst1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         op2: AluOp,
         dst2: Reg,
         imm2: u64,
-        masks2: bool,
-        cost2: f64,
+        cost2: u8,
     },
-    /// `load+load` (8.2%): the second load can never carry an SFI
-    /// dependency (a load clears the masked state).
+    /// `load+load` (8.2%).
     LoadLoad {
         dst1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
-    /// `aluimm+store` (4.1%); `mid` as in [`COp::AluImmLoad`].
+    /// `aluimm+store` (4.1%).
     AluImmStore {
         op1: AluOp,
         dst1: Reg,
         imm1: u64,
-        cost1: f64,
+        cost1: u8,
         src2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
-        mid: Option<Reg>,
+        cost2: u8,
     },
     /// `store+aluimm` (4.3%).
     StoreAluImm {
         src1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         op2: AluOp,
         dst2: Reg,
         imm2: u64,
-        masks2: bool,
-        cost2: f64,
+        cost2: u8,
     },
     /// `store+load` (2.1%).
     StoreLoad {
         src1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
     /// `load+store` (2.0%).
     LoadStore {
         dst1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         src2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
     /// `lea+aluimm` — the SFI `lea+mask` bracket (20.3% under sfi-rw).
     LeaAluImm {
         dst1: Reg,
         base1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         op2: AluOp,
         dst2: Reg,
         imm2: u64,
-        masks2: bool,
-        cost2: f64,
+        cost2: u8,
     },
     /// `aluimm+lea` (12.9% under sfi-rw).
     AluImmLea {
         op1: AluOp,
         dst1: Reg,
         imm1: u64,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         base2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
     /// `load+lea` (5.6% under sfi-rw).
     LoadLea {
         dst1: Reg,
         addr1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         base2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
     /// `lea+bndcu` — the MPX bracket (20.3% under mpx-rw).
     LeaBndCu {
         dst1: Reg,
         base1: Reg,
         offset1: i64,
-        cost1: f64,
+        cost1: u8,
         bnd2: u8,
         reg2: Reg,
-        cost2: f64,
+        cost2: u8,
     },
     /// `bndcu+load` (15.7% under mpx-rw).
     BndCuLoad {
         bnd1: u8,
         reg1: Reg,
-        cost1: f64,
+        cost1: u8,
         dst2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
     /// `bndcu+store` (4.5% under mpx-rw).
     BndCuStore {
         bnd1: u8,
         reg1: Reg,
-        cost1: f64,
+        cost1: u8,
         src2: Reg,
         addr2: Reg,
         offset2: i64,
-        cost2: f64,
+        cost2: u8,
     },
 }
 
-/// One compiled basic-block entry: the pre-bound op chain from the entry
-/// index to the block terminator.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledRun {
-    /// The op chain; fused entries cover two source instructions.
-    pub ops: Box<[COp]>,
-    /// Source instructions covered (the run's retirement count).
-    pub n_insts: u32,
+impl COp {
+    /// Whether this is a fused superinstruction (two source
+    /// instructions).
+    fn is_fused(&self) -> bool {
+        matches!(
+            self,
+            COp::AluImmAluImm { .. }
+                | COp::AluImmLoad { .. }
+                | COp::LoadAluImm { .. }
+                | COp::LoadLoad { .. }
+                | COp::AluImmStore { .. }
+                | COp::StoreAluImm { .. }
+                | COp::StoreLoad { .. }
+                | COp::LoadStore { .. }
+                | COp::LeaAluImm { .. }
+                | COp::AluImmLea { .. }
+                | COp::LoadLea { .. }
+                | COp::LeaBndCu { .. }
+                | COp::BndCuLoad { .. }
+                | COp::BndCuStore { .. }
+        )
+    }
 }
 
-/// One compiled function: `runs[i]` holds the compiled run for
-/// instruction index `i` when `i` is a block entry point (function
-/// entry, post-terminator fall-through, or branch target), `None`
-/// otherwise. Mid-block indexes reached by a replay seek or a horizon
-/// cut execute on the decoded fallback path until the next entry point.
+/// Where one compiled run sits in its function's `ops`.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunRef {
+    /// First op of the run.
+    start: u32,
+    /// One past its last op.
+    end: u32,
+    /// Source instructions covered (the run's retirement count); 0 for
+    /// an index that is not a block entry point.
+    n_insts: u32,
+}
+
+/// One compiled function: the pre-bound op chain of every basic-block
+/// entry point (function entry, post-terminator fall-through, or branch
+/// target) from the entry index to the block terminator, back to back in
+/// one array. Mid-block indexes reached by a replay seek, a `sigreturn`
+/// or a horizon cut have no run; they execute the decoded single-form
+/// ops until the next entry point.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledFunction {
-    /// Per-index compiled runs (entry points only).
-    pub runs: Vec<Option<CompiledRun>>,
+    /// Every run's ops in entry-point order; fused entries cover two
+    /// source instructions.
+    ops: Vec<COp>,
+    /// Per-index locations into `ops`.
+    runs: Box<[RunRef]>,
 }
 
-/// Whether `op` ends a basic block (mirrors `decode::is_block_end`,
-/// which stays the single source of truth via `block_ends`).
+impl CompiledFunction {
+    /// The run entered at instruction index `i` with the number of
+    /// source instructions it retires, or `None` if `i` is not a block
+    /// entry point.
+    #[inline(always)]
+    fn run(&self, i: u32) -> Option<(&[COp], u32)> {
+        let r = self.runs.get(i as usize)?;
+        (r.n_insts > 0).then(|| (&self.ops[r.start as usize..r.end as usize], r.n_insts))
+    }
+}
+
+/// Whether index `i` ends a basic block (`decode::is_block_end` stays
+/// the single source of truth via `block_ends`).
 fn ends_block(ends: &[u32], i: usize) -> bool {
     ends[i] as usize == i + 1
 }
@@ -360,19 +415,17 @@ fn ends_block(ends: &[u32], i: usize) -> bool {
 /// Block entry points of one decoded function: the function entry,
 /// every post-terminator index, and every branch target.
 fn entry_points(f: &DecodedFunction) -> Vec<bool> {
-    let len = f.insts.len();
+    let len = f.ops.len();
     let mut leader = vec![false; len];
     if len > 0 {
         leader[0] = true;
     }
-    for (i, d) in f.insts.iter().enumerate() {
+    for (i, op) in f.ops.iter().enumerate() {
         if ends_block(&f.block_ends, i) && i + 1 < len {
             leader[i + 1] = true;
         }
-        match d.op {
-            DecodedOp::Jmp { target } | DecodedOp::JmpIf { target, .. }
-                if (target as usize) < len =>
-            {
+        match *op {
+            COp::Jmp { target, .. } | COp::JmpIf { target, .. } if (target as usize) < len => {
                 leader[target as usize] = true;
             }
             _ => {}
@@ -381,1455 +434,1095 @@ fn entry_points(f: &DecodedFunction) -> Vec<bool> {
     leader
 }
 
-/// Compiles one straight-line op into its pre-bound single form. `i` is
-/// the op's instruction index (for pre-encoded return addresses).
-fn single(func: FuncId, i: u32, d: &DecodedInst) -> COp {
-    let cost = d.cost;
-    let ret = || CodeAddr { func, index: i + 1 }.encode();
-    match d.op {
-        DecodedOp::MovImm { dst, imm } => COp::MovImm { dst, imm, cost },
-        DecodedOp::Mov { dst, src } => COp::Mov { dst, src, cost },
-        DecodedOp::Lea { dst, base, offset } => COp::Lea {
-            dst,
-            base,
-            offset,
-            cost,
-        },
-        DecodedOp::AluReg {
-            op,
-            dst,
-            src,
-            masks,
-        } => COp::AluReg {
-            op,
-            dst,
-            src,
-            masks,
-            cost,
-        },
-        DecodedOp::AluImm {
-            op,
-            dst,
-            imm,
-            masks,
-        } => COp::AluImm {
-            op,
-            dst,
-            imm,
-            masks,
-            cost,
-        },
-        DecodedOp::Load { dst, addr, offset } => COp::Load {
-            dst,
-            addr,
-            offset,
-            cost,
-        },
-        DecodedOp::Store { src, addr, offset } => COp::Store {
-            src,
-            addr,
-            offset,
-            cost,
-        },
-        DecodedOp::Skip => COp::Skip { cost },
-        DecodedOp::BndMk { bnd, lower, upper } => COp::BndMk {
-            bnd,
-            lower,
-            upper,
-            cost,
-        },
-        DecodedOp::BndCu { bnd, reg } => COp::BndCu { bnd, reg, cost },
-        DecodedOp::BndCl { bnd, reg } => COp::BndCl { bnd, reg, cost },
-        DecodedOp::RdPkru { dst } => COp::RdPkru { dst, cost },
-        DecodedOp::WrPkru { src } => COp::WrPkru { src, cost },
-        DecodedOp::Jmp { target } => COp::Jmp { target, cost },
-        DecodedOp::JmpIf { cond, a, b, target } => COp::JmpIf {
-            cond,
-            a,
-            b,
-            target,
-            cost,
-        },
-        DecodedOp::BadLabel { label } => COp::BadLabel { label, cost },
-        DecodedOp::Call { callee } => COp::Call {
-            callee,
-            ret: ret(),
-            cost,
-        },
-        DecodedOp::CallIndirect { target } => COp::CallIndirect {
-            target,
-            ret: ret(),
-            cost,
-        },
-        DecodedOp::Ret => COp::Ret { cost },
-        DecodedOp::Halt => COp::Halt { cost },
-        DecodedOp::Syscall { .. } | DecodedOp::VmCall { .. } => COp::GenericEnd { inst: *d },
-        DecodedOp::Alloc { .. }
-        | DecodedOp::Free { .. }
-        | DecodedOp::VmFunc { .. }
-        | DecodedOp::YmmToXmm
-        | DecodedOp::AesSetup
-        | DecodedOp::AesRegion { .. }
-        | DecodedOp::SgxEnter
-        | DecodedOp::SgxExit => COp::Generic { inst: *d },
-    }
-}
-
-/// Attempts to fuse the consecutive straight-line pair `(a, b)` into a
+/// Attempts to fuse the consecutive single-form pair `(a, b)` into a
 /// superinstruction. Only the measured dominant families fuse; anything
 /// else dispatches singly.
-fn try_fuse(a: &DecodedInst, b: &DecodedInst) -> Option<COp> {
-    let (ca, cb) = (a.cost, b.cost);
-    match (a.op, b.op) {
+fn try_fuse(a: &COp, b: &COp) -> Option<COp> {
+    Some(match (*a, *b) {
         (
-            DecodedOp::AluImm {
+            COp::AluImm {
                 op: op1,
                 dst: dst1,
                 imm: imm1,
-                ..
+                cost: cost1,
             },
-            DecodedOp::AluImm {
+            COp::AluImm {
                 op: op2,
                 dst: dst2,
                 imm: imm2,
-                masks: masks2,
+                cost: cost2,
             },
-        ) => Some(COp::AluImmAluImm {
+        ) => COp::AluImmAluImm {
             op1,
             dst1,
             imm1,
-            cost1: ca,
+            cost1,
             op2,
             dst2,
             imm2,
-            masks2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::AluImm {
+            COp::AluImm {
                 op: op1,
                 dst: dst1,
                 imm: imm1,
-                masks: masks1,
+                cost: cost1,
             },
-            DecodedOp::Load {
+            COp::Load {
                 dst: dst2,
                 addr: addr2,
                 offset: offset2,
+                cost: cost2,
             },
-        ) => {
-            let mid = if masks1 { Some(dst1) } else { None };
-            Some(COp::AluImmLoad {
-                op1,
-                dst1,
-                imm1,
-                cost1: ca,
-                dst2,
-                addr2,
-                offset2,
-                cost2: cb,
-                mid,
-                sfi: mid == Some(addr2),
-            })
-        }
-        (
-            DecodedOp::Load {
-                dst: dst1,
-                addr: addr1,
-                offset: offset1,
-            },
-            DecodedOp::AluImm {
-                op: op2,
-                dst: dst2,
-                imm: imm2,
-                masks: masks2,
-            },
-        ) => Some(COp::LoadAluImm {
-            dst1,
-            addr1,
-            offset1,
-            cost1: ca,
-            op2,
-            dst2,
-            imm2,
-            masks2,
-            cost2: cb,
-        }),
-        (
-            DecodedOp::Load {
-                dst: dst1,
-                addr: addr1,
-                offset: offset1,
-            },
-            DecodedOp::Load {
-                dst: dst2,
-                addr: addr2,
-                offset: offset2,
-            },
-        ) => Some(COp::LoadLoad {
-            dst1,
-            addr1,
-            offset1,
-            cost1: ca,
-            dst2,
-            addr2,
-            offset2,
-            cost2: cb,
-        }),
-        (
-            DecodedOp::AluImm {
-                op: op1,
-                dst: dst1,
-                imm: imm1,
-                masks: masks1,
-            },
-            DecodedOp::Store {
-                src: src2,
-                addr: addr2,
-                offset: offset2,
-            },
-        ) => Some(COp::AluImmStore {
+        ) => COp::AluImmLoad {
             op1,
             dst1,
             imm1,
-            cost1: ca,
-            src2,
-            addr2,
-            offset2,
-            cost2: cb,
-            mid: if masks1 { Some(dst1) } else { None },
-        }),
-        (
-            DecodedOp::Store {
-                src: src1,
-                addr: addr1,
-                offset: offset1,
-            },
-            DecodedOp::AluImm {
-                op: op2,
-                dst: dst2,
-                imm: imm2,
-                masks: masks2,
-            },
-        ) => Some(COp::StoreAluImm {
-            src1,
-            addr1,
-            offset1,
-            cost1: ca,
-            op2,
-            dst2,
-            imm2,
-            masks2,
-            cost2: cb,
-        }),
-        (
-            DecodedOp::Store {
-                src: src1,
-                addr: addr1,
-                offset: offset1,
-            },
-            DecodedOp::Load {
-                dst: dst2,
-                addr: addr2,
-                offset: offset2,
-            },
-        ) => Some(COp::StoreLoad {
-            src1,
-            addr1,
-            offset1,
-            cost1: ca,
+            cost1,
             dst2,
             addr2,
             offset2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::Load {
+            COp::Load {
                 dst: dst1,
                 addr: addr1,
                 offset: offset1,
+                cost: cost1,
             },
-            DecodedOp::Store {
-                src: src2,
-                addr: addr2,
-                offset: offset2,
+            COp::AluImm {
+                op: op2,
+                dst: dst2,
+                imm: imm2,
+                cost: cost2,
             },
-        ) => Some(COp::LoadStore {
+        ) => COp::LoadAluImm {
             dst1,
             addr1,
             offset1,
-            cost1: ca,
+            cost1,
+            op2,
+            dst2,
+            imm2,
+            cost2,
+        },
+        (
+            COp::Load {
+                dst: dst1,
+                addr: addr1,
+                offset: offset1,
+                cost: cost1,
+            },
+            COp::Load {
+                dst: dst2,
+                addr: addr2,
+                offset: offset2,
+                cost: cost2,
+            },
+        ) => COp::LoadLoad {
+            dst1,
+            addr1,
+            offset1,
+            cost1,
+            dst2,
+            addr2,
+            offset2,
+            cost2,
+        },
+        (
+            COp::AluImm {
+                op: op1,
+                dst: dst1,
+                imm: imm1,
+                cost: cost1,
+            },
+            COp::Store {
+                src: src2,
+                addr: addr2,
+                offset: offset2,
+                cost: cost2,
+            },
+        ) => COp::AluImmStore {
+            op1,
+            dst1,
+            imm1,
+            cost1,
             src2,
             addr2,
             offset2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::Lea {
+            COp::Store {
+                src: src1,
+                addr: addr1,
+                offset: offset1,
+                cost: cost1,
+            },
+            COp::AluImm {
+                op: op2,
+                dst: dst2,
+                imm: imm2,
+                cost: cost2,
+            },
+        ) => COp::StoreAluImm {
+            src1,
+            addr1,
+            offset1,
+            cost1,
+            op2,
+            dst2,
+            imm2,
+            cost2,
+        },
+        (
+            COp::Store {
+                src: src1,
+                addr: addr1,
+                offset: offset1,
+                cost: cost1,
+            },
+            COp::Load {
+                dst: dst2,
+                addr: addr2,
+                offset: offset2,
+                cost: cost2,
+            },
+        ) => COp::StoreLoad {
+            src1,
+            addr1,
+            offset1,
+            cost1,
+            dst2,
+            addr2,
+            offset2,
+            cost2,
+        },
+        (
+            COp::Load {
+                dst: dst1,
+                addr: addr1,
+                offset: offset1,
+                cost: cost1,
+            },
+            COp::Store {
+                src: src2,
+                addr: addr2,
+                offset: offset2,
+                cost: cost2,
+            },
+        ) => COp::LoadStore {
+            dst1,
+            addr1,
+            offset1,
+            cost1,
+            src2,
+            addr2,
+            offset2,
+            cost2,
+        },
+        (
+            COp::Lea {
                 dst: dst1,
                 base: base1,
                 offset: offset1,
+                cost: cost1,
             },
-            DecodedOp::AluImm {
+            COp::AluImm {
                 op: op2,
                 dst: dst2,
                 imm: imm2,
-                masks: masks2,
+                cost: cost2,
             },
-        ) => Some(COp::LeaAluImm {
+        ) => COp::LeaAluImm {
             dst1,
             base1,
             offset1,
-            cost1: ca,
+            cost1,
             op2,
             dst2,
             imm2,
-            masks2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::AluImm {
+            COp::AluImm {
                 op: op1,
                 dst: dst1,
                 imm: imm1,
-                ..
+                cost: cost1,
             },
-            DecodedOp::Lea {
+            COp::Lea {
                 dst: dst2,
                 base: base2,
                 offset: offset2,
+                cost: cost2,
             },
-        ) => Some(COp::AluImmLea {
+        ) => COp::AluImmLea {
             op1,
             dst1,
             imm1,
-            cost1: ca,
+            cost1,
             dst2,
             base2,
             offset2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::Load {
+            COp::Load {
                 dst: dst1,
                 addr: addr1,
                 offset: offset1,
+                cost: cost1,
             },
-            DecodedOp::Lea {
+            COp::Lea {
                 dst: dst2,
                 base: base2,
                 offset: offset2,
+                cost: cost2,
             },
-        ) => Some(COp::LoadLea {
+        ) => COp::LoadLea {
             dst1,
             addr1,
             offset1,
-            cost1: ca,
+            cost1,
             dst2,
             base2,
             offset2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::Lea {
+            COp::Lea {
                 dst: dst1,
                 base: base1,
                 offset: offset1,
+                cost: cost1,
             },
-            DecodedOp::BndCu {
+            COp::BndCu {
                 bnd: bnd2,
                 reg: reg2,
+                cost: cost2,
             },
-        ) => Some(COp::LeaBndCu {
+        ) => COp::LeaBndCu {
             dst1,
             base1,
             offset1,
-            cost1: ca,
+            cost1,
             bnd2,
             reg2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::BndCu {
+            COp::BndCu {
                 bnd: bnd1,
                 reg: reg1,
+                cost: cost1,
             },
-            DecodedOp::Load {
+            COp::Load {
                 dst: dst2,
                 addr: addr2,
                 offset: offset2,
+                cost: cost2,
             },
-        ) => Some(COp::BndCuLoad {
+        ) => COp::BndCuLoad {
             bnd1,
             reg1,
-            cost1: ca,
+            cost1,
             dst2,
             addr2,
             offset2,
-            cost2: cb,
-        }),
+            cost2,
+        },
         (
-            DecodedOp::BndCu {
+            COp::BndCu {
                 bnd: bnd1,
                 reg: reg1,
+                cost: cost1,
             },
-            DecodedOp::Store {
+            COp::Store {
                 src: src2,
                 addr: addr2,
                 offset: offset2,
+                cost: cost2,
             },
-        ) => Some(COp::BndCuStore {
+        ) => COp::BndCuStore {
             bnd1,
             reg1,
-            cost1: ca,
+            cost1,
             src2,
             addr2,
             offset2,
-            cost2: cb,
-        }),
-        _ => None,
-    }
+            cost2,
+        },
+        _ => return None,
+    })
 }
 
-/// Compiles the run starting at entry point `start` of function `func`.
-fn compile_run(func: FuncId, f: &DecodedFunction, start: usize, fuse: bool) -> CompiledRun {
+/// Compiles the run starting at entry point `start` of a decoded function
+/// onto the end of `ops`.
+fn compile_run(f: &DecodedFunction, start: usize, ops: &mut Vec<COp>) -> RunRef {
+    let first = ops.len() as u32;
     let end = f.block_ends[start] as usize;
-    let mut ops = Vec::new();
     let mut i = start;
     while i < end {
-        // Terminators never fuse (they settle the run themselves), so a
-        // pair is only attempted while both ops sit strictly inside the
+        // Terminators never fuse (they end the run themselves), so a pair
+        // is only attempted while both ops sit strictly inside the
         // straight-line body.
-        if fuse
-            && i + 2 <= end
-            && !ends_block(&f.block_ends, i)
-            && !ends_block(&f.block_ends, i + 1)
-        {
-            if let Some(fused) = try_fuse(&f.insts[i], &f.insts[i + 1]) {
+        if i + 2 <= end && !ends_block(&f.block_ends, i) && !ends_block(&f.block_ends, i + 1) {
+            if let Some(fused) = try_fuse(&f.ops[i], &f.ops[i + 1]) {
                 ops.push(fused);
                 i += 2;
                 continue;
             }
         }
-        ops.push(single(func, i as u32, &f.insts[i]));
+        ops.push(f.ops[i]);
         i += 1;
     }
-    CompiledRun {
-        ops: ops.into_boxed_slice(),
+    RunRef {
+        start: first,
+        end: ops.len() as u32,
         n_insts: (end - start) as u32,
     }
 }
 
-/// Compiles every block entry point of every decoded function. `fuse`
-/// selects superinstruction fusion (off: single-op dispatch only — the
-/// unfused ablation benchmarked in `benches/interp.rs`).
-pub(crate) fn compile_program(code: &[DecodedFunction], fuse: bool) -> Vec<CompiledFunction> {
+/// Compiles every block entry point of every decoded function.
+pub(crate) fn compile_program(code: &[DecodedFunction]) -> Vec<CompiledFunction> {
     code.iter()
-        .enumerate()
-        .map(|(fid, f)| {
-            let func = FuncId(fid as u32);
-            let leaders = entry_points(f);
-            CompiledFunction {
-                runs: leaders
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &is_leader)| is_leader.then(|| compile_run(func, f, i, fuse)))
-                    .collect(),
-            }
+        .map(|f| {
+            // Fusion shrinks a run and only overlapping runs (a branch
+            // into the middle of a block) grow the total, so one op per
+            // instruction is nearly always enough.
+            let mut ops = Vec::with_capacity(f.ops.len());
+            let runs = entry_points(f)
+                .iter()
+                .enumerate()
+                .map(|(i, &is_leader)| {
+                    if is_leader {
+                        compile_run(f, i, &mut ops)
+                    } else {
+                        RunRef::default()
+                    }
+                })
+                .collect();
+            CompiledFunction { ops, runs }
         })
         .collect()
 }
 
-// The compiled-run executor. Lives here rather than in `machine.rs` so
-// the whole threaded engine — compiler and executor — reads as one unit;
-// it reaches the machine's crate-private state directly.
+/// The executor's working state: the part of the machine every op's arm
+/// reads or writes besides registers and memory. `exec_chain` keeps it
+/// in locals across whole chains of runs; `exec_one` loads it from the
+/// machine for a single op. Settling writes it back to the pc,
+/// `last_masked` and `stats`.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// Function of the op being retired.
+    func: FuncId,
+    /// Index of the op being retired.
+    idx: u32,
+    /// The retired-instruction count less `idx` (wrapping): `base + idx`
+    /// instructions have retired before the op at `idx`.
+    base: u64,
+    /// The SFI masked register (`Machine::last_masked`).
+    masked: Option<Reg>,
+    /// `stats.cycles`.
+    cycles: f64,
+    /// First inline-cache slot of `func`: the memory op at index `i`
+    /// owns slot `icb + i`.
+    icb: u32,
+}
+
+impl Chain {
+    /// Retires the straight-line op at `idx`, which leaves `masked` as
+    /// the SFI masked state.
+    #[inline(always)]
+    fn retire(&mut self, masked: Option<Reg>) {
+        self.masked = masked;
+        self.idx += 1;
+    }
+
+    /// Instructions retired before the op at `idx`.
+    #[inline(always)]
+    fn retired(&self) -> u64 {
+        self.base.wrapping_add(u64::from(self.idx))
+    }
+
+    /// Retires the terminator at `idx` and moves to `index` of the same
+    /// function, where the next run starts.
+    #[inline(always)]
+    fn jump(&mut self, index: u32) {
+        self.base = self
+            .retired()
+            .wrapping_add(1)
+            .wrapping_sub(u64::from(index));
+        self.idx = index;
+        self.masked = None;
+    }
+}
+
+/// The SFI masked state an ALU op leaves: an `And` masks its
+/// destination.
+#[inline(always)]
+fn masked(op: AluOp, dst: Reg) -> Option<Reg> {
+    (op == AluOp::And).then_some(dst)
+}
+
+// The executor. Lives here rather than in `machine.rs` so the whole
+// engine — op forms, compiler and arms — reads as one unit; it reaches
+// the machine's crate-private state directly.
 impl Machine {
-    /// The load body shared by every compiled arm: identical charge order
-    /// to the interpreter's `DecodedOp::Load` (SFI dependency stall, EPC
-    /// check, translate/read, walk and miss charges, retire), with the
-    /// SFI predicate pre-resolved by the caller. The compiled path never
-    /// runs under a tracer, so the per-access tracer hook is elided.
-    ///
-    /// `slot` names the op's inline translation-cache entry: a
-    /// generation-valid same-page hit skips `check_page` entirely and
-    /// reports the `AccessInfo` the full pipeline would have (TLB hit,
-    /// no walk), so the charges below are unchanged. With the cache
-    /// disabled the `ic` table is empty, every slot lookup misses, and
-    /// the full path runs as before. The retired-load count batches in
-    /// the caller's `loads` local, settled per chain exit.
+    /// The chain state at the machine's pc.
     #[inline(always)]
-    fn c_load(
-        &mut self,
-        cycles: &mut f64,
-        loads: &mut u64,
-        slot: u32,
-        dst: Reg,
-        addr: Reg,
-        offset: i64,
-        sfi: bool,
-    ) -> Result<(), Trap> {
-        if sfi {
-            *cycles += self.cost.sfi_load_dependency;
+    fn chain(&self) -> Chain {
+        Chain {
+            func: self.pc.func,
+            idx: self.pc.index,
+            base: self
+                .stats
+                .instructions
+                .wrapping_sub(u64::from(self.pc.index)),
+            masked: self.last_masked,
+            cycles: self.stats.cycles,
+            icb: self.ic_slot_base(self.pc.func),
         }
-        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
-        self.check_epc(va.0)?;
-        let (value, info) = match self.ic.get_mut(slot as usize) {
-            Some(e) => self.space.ic_read_u64(va, e)?,
-            None => self.space.read_u64_info(va)?,
-        };
-        if !info.tlb_hit {
-            *cycles += info.walk_levels as f64 * self.cost.walk_per_level;
-        }
-        *cycles += self.cost.miss_penalty(info.hit_level);
-        self.regs[dst.index()] = value;
-        *loads += 1;
-        Ok(())
     }
 
-    /// The store body shared by every compiled arm; mirrors
-    /// `DecodedOp::Store` (store-buffer sliver of the miss latency).
-    /// Inline-cache slot and batched `stores` count as in
-    /// [`Machine::c_load`].
+    /// Writes the chain state back to the machine.
     #[inline(always)]
-    fn c_store(
-        &mut self,
-        cycles: &mut f64,
-        stores: &mut u64,
-        slot: u32,
-        src: Reg,
-        addr: Reg,
-        offset: i64,
-    ) -> Result<(), Trap> {
-        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
-        self.check_epc(va.0)?;
-        let info = match self.ic.get_mut(slot as usize) {
-            Some(e) => self.space.ic_write_u64(va, self.regs[src.index()], e)?,
-            None => self.space.write_u64(va, self.regs[src.index()])?,
-        };
-        if !info.tlb_hit {
-            *cycles += info.walk_levels as f64 * self.cost.walk_per_level;
-        }
-        *cycles += self.cost.store_buffer_exposure * self.cost.miss_penalty(info.hit_level);
-        *stores += 1;
-        Ok(())
-    }
-
-    /// The upper-bound-check body; mirrors `DecodedOp::BndCu` (the check
-    /// counts even when it faults).
-    #[inline(always)]
-    fn c_bndcu(&mut self, bnd: u8, reg: Reg) -> Result<(), Trap> {
-        self.stats.bound_checks += 1;
-        let v = self.regs[reg.index()];
-        let (_, upper) = self.bnd[bnd as usize];
-        if v > upper {
-            return Err(Trap::BoundRange {
-                reg,
-                value: v,
-                bound: upper,
-            });
-        }
-        Ok(())
-    }
-
-    /// Settles architectural state after a trap at source index
-    /// `fault_idx` of a run entered at `leader`: the faulting instruction
-    /// retires (`step` counts it), the pc points past it, and
-    /// `last_masked` reverts to its value *before* the faulting op — the
-    /// interpreter skips its `last_masked` write on the error path.
-    /// `retired` is the chain's deferred retired-instruction count as of
-    /// the run's leader; `loads`/`stores` are the chain's batched
-    /// retired-access deltas, settled here like the cycle counter.
-    #[cold]
-    #[allow(clippy::too_many_arguments)]
-    fn run_trap(
-        &mut self,
-        func: FuncId,
-        leader: u32,
-        fault_idx: u32,
-        retired: u64,
-        cycles: f64,
-        loads: u64,
-        stores: u64,
-        masked: Option<Reg>,
-        trap: Trap,
-    ) -> Trap {
-        self.stats.instructions = retired + u64::from(fault_idx - leader + 1);
-        self.stats.cycles = cycles;
-        self.stats.loads += loads;
-        self.stats.stores += stores;
+    fn settle(&mut self, c: Chain) {
         self.pc = CodeAddr {
-            func,
-            index: fault_idx + 1,
+            func: c.func,
+            index: c.idx,
         };
-        self.last_masked = masked;
+        self.stats.instructions = c.retired();
+        self.last_masked = c.masked;
+        self.stats.cycles = c.cycles;
+    }
+
+    /// Settles the machine after the op at `c.idx` raised `trap`: the
+    /// faulting op retires and the pc points past it, while `last_masked`
+    /// keeps its value from before the op (a faulting op never writes
+    /// it). Every trap an arm returns has been through here.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, mut c: Chain, trap: Trap) -> Trap {
+        c.idx += 1;
+        self.settle(c);
         trap
     }
 
-    /// Chains compiled runs back to back from the current pc until the
-    /// machine halts, a trap fires, the retired-instruction count reaches
-    /// `horizon`, or the pc lands somewhere without a compiled run that
-    /// fits the remaining budget (mid-block entry, budget-cut block, or
-    /// one past the function end). On every exit the pc, `last_masked`
-    /// and `stats.instructions` are settled exactly as the
-    /// per-instruction path would have left them (property-tested in
+    /// Retires the call or return at `c.idx` and moves to `index` of
+    /// `func`.
+    #[inline(always)]
+    fn enter(&self, c: &mut Chain, func: FuncId, index: u32) {
+        c.jump(index);
+        c.func = func;
+        c.icb = self.ic_slot_base(func);
+    }
+
+    /// Reports the access at `at` to the installed tracer.
+    #[cold]
+    #[inline(never)]
+    fn trace(&mut self, at: CodeAddr, is_store: bool, va: VirtAddr) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(at, is_store, va.0);
+        }
+    }
+
+    /// `dst <- base + offset`.
+    #[inline(always)]
+    fn lea(&mut self, c: &mut Chain, dst: Reg, base: Reg, offset: i64, cost: u8) {
+        c.cycles += self.charges.get(cost);
+        self.regs[dst.index()] = self.regs[base.index()].wrapping_add(offset as u64);
+        c.retire(None);
+    }
+
+    /// `dst <- dst op imm`.
+    #[inline(always)]
+    fn alu_imm(&mut self, c: &mut Chain, op: AluOp, dst: Reg, imm: u64, cost: u8) {
+        c.cycles += self.charges.get(cost);
+        self.alu(op, dst, imm);
+        c.retire(masked(op, dst));
+    }
+
+    /// 8-byte load: the SFI dependency stall when the address register
+    /// was just masked, the access, then the page-walk and cache-miss
+    /// charges.
+    #[inline(always)]
+    fn load(
+        &mut self,
+        c: &mut Chain,
+        dst: Reg,
+        addr: Reg,
+        offset: i64,
+        cost: u8,
+    ) -> Result<(), Trap> {
+        c.cycles += self.charges.get(cost);
+        if c.masked == Some(addr) {
+            c.cycles += self.cost.sfi_load_dependency;
+        }
+        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
+        let (value, info) = match self.read(c, va) {
+            Ok(r) => r,
+            Err(t) => return Err(self.fault(*c, t)),
+        };
+        if !info.tlb_hit {
+            c.cycles += info.walk_levels as f64 * self.cost.walk_per_level;
+        }
+        c.cycles += self.cost.miss_penalty(info.hit_level);
+        self.regs[dst.index()] = value;
+        self.stats.loads += 1;
+        c.retire(None);
+        Ok(())
+    }
+
+    /// The access of [`Machine::load`]: the tracer hook (the tracer sees
+    /// the access before it can fault), the EPC check, then the op's
+    /// inline-cache slot — with the cache disabled the `ic` table is
+    /// empty, every slot lookup misses, and the full pipeline runs.
+    #[inline(always)]
+    fn read(&mut self, c: &Chain, va: VirtAddr) -> Result<(u64, AccessInfo), Trap> {
+        if self.tracer.is_some() {
+            let at = CodeAddr {
+                func: c.func,
+                index: c.idx,
+            };
+            self.trace(at, false, va);
+        }
+        self.check_epc(va.0)?;
+        Ok(match self.ic.get_mut((c.icb + c.idx) as usize) {
+            Some(e) => self.space.ic_read_u64(va, e)?,
+            None => self.space.read_u64_info(va)?,
+        })
+    }
+
+    /// 8-byte store: the access, then the page-walk charge and the
+    /// store-buffer sliver of the miss latency.
+    #[inline(always)]
+    fn store(
+        &mut self,
+        c: &mut Chain,
+        src: Reg,
+        addr: Reg,
+        offset: i64,
+        cost: u8,
+    ) -> Result<(), Trap> {
+        c.cycles += self.charges.get(cost);
+        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
+        let info = match self.write(c, va, self.regs[src.index()]) {
+            Ok(info) => info,
+            Err(t) => return Err(self.fault(*c, t)),
+        };
+        if !info.tlb_hit {
+            c.cycles += info.walk_levels as f64 * self.cost.walk_per_level;
+        }
+        // Stores retire through the store buffer; only a sliver of the
+        // miss latency is exposed.
+        c.cycles += self.cost.store_buffer_exposure * self.cost.miss_penalty(info.hit_level);
+        self.stats.stores += 1;
+        c.retire(None);
+        Ok(())
+    }
+
+    /// The access of [`Machine::store`]; see [`Machine::read`].
+    #[inline(always)]
+    fn write(&mut self, c: &Chain, va: VirtAddr, value: u64) -> Result<AccessInfo, Trap> {
+        if self.tracer.is_some() {
+            let at = CodeAddr {
+                func: c.func,
+                index: c.idx,
+            };
+            self.trace(at, true, va);
+        }
+        self.check_epc(va.0)?;
+        Ok(match self.ic.get_mut((c.icb + c.idx) as usize) {
+            Some(e) => self.space.ic_write_u64(va, value, e)?,
+            None => self.space.write_u64(va, value)?,
+        })
+    }
+
+    /// Upper-bound check; the check counts even when it faults.
+    #[inline(always)]
+    fn bndcu(&mut self, c: &mut Chain, bnd: u8, reg: Reg, cost: u8) -> Result<(), Trap> {
+        c.cycles += self.charges.get(cost);
+        self.stats.bound_checks += 1;
+        let value = self.regs[reg.index()];
+        let (_, upper) = self.bnd[bnd as usize];
+        if value > upper {
+            let trap = Trap::BoundRange {
+                reg,
+                value,
+                bound: upper,
+            };
+            return Err(self.fault(*c, trap));
+        }
+        c.retire(None);
+        Ok(())
+    }
+
+    /// Runs a cold op on the settled machine: the chain state is written
+    /// back as if the op had retired, the op's body (`Machine::cold_op`)
+    /// reads and writes the machine directly — a system call may halt or,
+    /// through `sigreturn`, move the pc anywhere — and the chain state is
+    /// reloaded from wherever it left the pc. On a trap the machine is
+    /// already settled as [`Machine::fault`] would leave it.
+    #[cold]
+    fn exec_cold(&mut self, mut c: Chain, cost: f64, op: &COp) -> Result<Chain, Trap> {
+        c.cycles += cost;
+        c.idx += 1;
+        self.settle(c);
+        self.cold_op(op)?;
+        self.last_masked = None;
+        Ok(self.chain())
+    }
+
+    /// Retires `ops` in order, each — one source instruction, or two for
+    /// a fused op — through its arm: the one place every op's semantics
+    /// and charges are written, shared by `exec_chain` (a compiled run or
+    /// a slice of the decoded stream) and `exec_one` (a single op). A
+    /// fused arm runs its two halves' bodies back to back. Straight-line
+    /// arms go straight on to the next op; the slice ends at the first op
+    /// that moves the pc or halts.
+    ///
+    /// # Errors
+    ///
+    /// The [`Trap`] an op raised, with the machine already settled at the
+    /// faulting op.
+    #[inline(always)]
+    fn exec_ops(&mut self, c: &mut Chain, ops: &[COp]) -> Result<(), Trap> {
+        for op in ops {
+            match *op {
+                COp::MovImm { dst, imm, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.regs[dst.index()] = imm;
+                    c.retire(None);
+                }
+                COp::Mov { dst, src, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.regs[dst.index()] = self.regs[src.index()];
+                    c.retire(None);
+                }
+                COp::Lea {
+                    dst,
+                    base,
+                    offset,
+                    cost,
+                } => self.lea(c, dst, base, offset, cost),
+                COp::AluReg { op, dst, src, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    let b = self.regs[src.index()];
+                    self.alu(op, dst, b);
+                    c.retire(masked(op, dst));
+                }
+                COp::AluImm { op, dst, imm, cost } => self.alu_imm(c, op, dst, imm, cost),
+                COp::Load {
+                    dst,
+                    addr,
+                    offset,
+                    cost,
+                } => self.load(c, dst, addr, offset, cost)?,
+                COp::Store {
+                    src,
+                    addr,
+                    offset,
+                    cost,
+                } => self.store(c, src, addr, offset, cost)?,
+                COp::Skip { cost } => {
+                    c.cycles += self.charges.get(cost);
+                    c.retire(None);
+                }
+                COp::BndMk {
+                    bnd,
+                    lower,
+                    upper,
+                    cost,
+                } => {
+                    c.cycles += self.charges.get(cost);
+                    self.bnd[bnd as usize] = (lower, upper);
+                    c.retire(None);
+                }
+                COp::BndCu { bnd, reg, cost } => self.bndcu(c, bnd, reg, cost)?,
+                COp::BndCl { bnd, reg, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.stats.bound_checks += 1;
+                    let value = self.regs[reg.index()];
+                    let (lower, _) = self.bnd[bnd as usize];
+                    if value < lower {
+                        let trap = Trap::BoundRange {
+                            reg,
+                            value,
+                            bound: lower,
+                        };
+                        return Err(self.fault(*c, trap));
+                    }
+                    c.retire(None);
+                }
+                COp::RdPkru { dst, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.regs[dst.index()] = self.space.pkru.0 as u64;
+                    c.retire(None);
+                }
+                COp::WrPkru { src, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.space.pkru = Pkru(self.regs[src.index()] as u32);
+                    self.stats.wrpkrus += 1;
+                    c.retire(None);
+                }
+
+                // --- terminators -------------------------------------------
+                COp::Jmp { target, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    c.jump(target);
+                    return Ok(());
+                }
+                COp::JmpIf {
+                    cond,
+                    a,
+                    b,
+                    target,
+                    cost,
+                } => {
+                    c.cycles += self.charges.get(cost);
+                    let taken = cond.eval(self.regs[a.index()], self.regs[b.index()]);
+                    c.jump(if taken { target } else { c.idx + 1 });
+                    return Ok(());
+                }
+                COp::BadLabel { label, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    return Err(self.fault(*c, Trap::BadLabel { label: label.0 }));
+                }
+                COp::Call { callee, ret, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    if let Err(t) = self.push_u64(ret) {
+                        return Err(self.fault(*c, t));
+                    }
+                    self.stats.calls += 1;
+                    self.enter(c, callee, 0);
+                    return Ok(());
+                }
+                COp::CallIndirect { target, ret, cost } => {
+                    c.cycles += self.charges.get(cost);
+                    let value = self.regs[target.index()];
+                    let dest = match CodeAddr::decode(value) {
+                        Some(d) if (d.func.0 as usize) < self.program.functions.len() => d,
+                        _ => return Err(self.fault(*c, Trap::BadCodePointer { value })),
+                    };
+                    if let Err(t) = self.push_u64(ret) {
+                        return Err(self.fault(*c, t));
+                    }
+                    self.stats.indirect_calls += 1;
+                    self.enter(c, dest.func, dest.index);
+                    return Ok(());
+                }
+                COp::Ret { cost } => {
+                    c.cycles += self.charges.get(cost);
+                    let value = match self.pop_u64() {
+                        Ok(v) => v,
+                        Err(t) => return Err(self.fault(*c, t)),
+                    };
+                    let dest = match CodeAddr::decode(value) {
+                        Some(d)
+                            if (d.func.0 as usize) < self.program.functions.len()
+                                && d.index as usize <= self.program.func(d.func).body.len() =>
+                        {
+                            d
+                        }
+                        _ => return Err(self.fault(*c, Trap::BadCodePointer { value })),
+                    };
+                    self.stats.rets += 1;
+                    self.enter(c, dest.func, dest.index);
+                    return Ok(());
+                }
+                COp::Halt { cost } => {
+                    c.cycles += self.charges.get(cost);
+                    self.halted = Some(self.regs[Reg::Rax.index()]);
+                    c.retire(None);
+                    return Ok(());
+                }
+
+                // --- cold ops ----------------------------------------------
+                COp::Syscall { cost, .. } | COp::VmCall { cost, .. } => {
+                    *c = self.exec_cold(*c, cost, op)?;
+                    return Ok(());
+                }
+                COp::Alloc { cost, .. }
+                | COp::Free { cost, .. }
+                | COp::VmFunc { cost, .. }
+                | COp::YmmToXmm { cost }
+                | COp::AesSetup { cost }
+                | COp::AesRegion { cost, .. }
+                | COp::SgxEnter { cost }
+                | COp::SgxExit { cost } => *c = self.exec_cold(*c, cost, op)?,
+
+                // --- fused superinstructions: both halves' bodies ----------
+                COp::AluImmAluImm {
+                    op1,
+                    dst1,
+                    imm1,
+                    cost1,
+                    op2,
+                    dst2,
+                    imm2,
+                    cost2,
+                } => {
+                    self.alu_imm(c, op1, dst1, imm1, cost1);
+                    self.alu_imm(c, op2, dst2, imm2, cost2);
+                }
+                COp::AluImmLoad {
+                    op1,
+                    dst1,
+                    imm1,
+                    cost1,
+                    dst2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.alu_imm(c, op1, dst1, imm1, cost1);
+                    self.load(c, dst2, addr2, offset2, cost2)?;
+                }
+                COp::LoadAluImm {
+                    dst1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    op2,
+                    dst2,
+                    imm2,
+                    cost2,
+                } => {
+                    self.load(c, dst1, addr1, offset1, cost1)?;
+                    self.alu_imm(c, op2, dst2, imm2, cost2);
+                }
+                COp::LoadLoad {
+                    dst1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    dst2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.load(c, dst1, addr1, offset1, cost1)?;
+                    self.load(c, dst2, addr2, offset2, cost2)?;
+                }
+                COp::AluImmStore {
+                    op1,
+                    dst1,
+                    imm1,
+                    cost1,
+                    src2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.alu_imm(c, op1, dst1, imm1, cost1);
+                    self.store(c, src2, addr2, offset2, cost2)?;
+                }
+                COp::StoreAluImm {
+                    src1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    op2,
+                    dst2,
+                    imm2,
+                    cost2,
+                } => {
+                    self.store(c, src1, addr1, offset1, cost1)?;
+                    self.alu_imm(c, op2, dst2, imm2, cost2);
+                }
+                COp::StoreLoad {
+                    src1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    dst2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.store(c, src1, addr1, offset1, cost1)?;
+                    self.load(c, dst2, addr2, offset2, cost2)?;
+                }
+                COp::LoadStore {
+                    dst1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    src2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.load(c, dst1, addr1, offset1, cost1)?;
+                    self.store(c, src2, addr2, offset2, cost2)?;
+                }
+                COp::LeaAluImm {
+                    dst1,
+                    base1,
+                    offset1,
+                    cost1,
+                    op2,
+                    dst2,
+                    imm2,
+                    cost2,
+                } => {
+                    self.lea(c, dst1, base1, offset1, cost1);
+                    self.alu_imm(c, op2, dst2, imm2, cost2);
+                }
+                COp::AluImmLea {
+                    op1,
+                    dst1,
+                    imm1,
+                    cost1,
+                    dst2,
+                    base2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.alu_imm(c, op1, dst1, imm1, cost1);
+                    self.lea(c, dst2, base2, offset2, cost2);
+                }
+                COp::LoadLea {
+                    dst1,
+                    addr1,
+                    offset1,
+                    cost1,
+                    dst2,
+                    base2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.load(c, dst1, addr1, offset1, cost1)?;
+                    self.lea(c, dst2, base2, offset2, cost2);
+                }
+                COp::LeaBndCu {
+                    dst1,
+                    base1,
+                    offset1,
+                    cost1,
+                    bnd2,
+                    reg2,
+                    cost2,
+                } => {
+                    self.lea(c, dst1, base1, offset1, cost1);
+                    self.bndcu(c, bnd2, reg2, cost2)?;
+                }
+                COp::BndCuLoad {
+                    bnd1,
+                    reg1,
+                    cost1,
+                    dst2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.bndcu(c, bnd1, reg1, cost1)?;
+                    self.load(c, dst2, addr2, offset2, cost2)?;
+                }
+                COp::BndCuStore {
+                    bnd1,
+                    reg1,
+                    cost1,
+                    src2,
+                    addr2,
+                    offset2,
+                    cost2,
+                } => {
+                    self.bndcu(c, bnd1, reg1, cost1)?;
+                    self.store(c, src2, addr2, offset2, cost2)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Chains runs back to back from the current pc until the machine
+    /// halts, a trap fires, or the retired-instruction count reaches
+    /// `horizon`. At a block entry point whose compiled run fits the
+    /// remaining budget the chain runs the fused run; anywhere else — an
+    /// entry in the middle of a block, or a block the horizon cuts short
+    /// — it runs the block's single-form ops from the decoded stream, up
+    /// to the horizon. On every exit the pc, `last_masked` and `stats`
+    /// are settled exactly as retiring one instruction at a time would
+    /// have left them (property-tested against `Machine::step` in
     /// `tests/properties.rs` over random programs × event schedules).
     ///
-    /// The architectural-state/cost split: the pc (`func`, `entry`,
-    /// `idx`), the SFI masked state (`masked`) and the retired count
-    /// (`retired`) live in locals across block boundaries — a taken
-    /// branch falls straight into its target's compiled run without a
-    /// round trip through machine state, which is where the threaded
-    /// engine earns its dispatch win. None of that state is observable
-    /// mid-chain: the caller guarantees no event boundary, fuel boundary
-    /// or preemption falls before `horizon`, and syscall/hypercall
-    /// handlers see only the address space. The f64 cycle counter is
-    /// *not* batched: every op adds its static charge in retirement
-    /// order, because f64 addition is non-associative and the total must
-    /// stay bit-identical to the stepper. Dynamic charges (MMU walks,
-    /// miss penalties, SFI stalls) ride inside the op bodies on their
-    /// existing paths.
+    /// None of the chain state is observable mid-chain: the caller
+    /// guarantees no event boundary, fuel boundary or preemption falls
+    /// before `horizon`, and syscall/hypercall handlers see only the
+    /// address space. A pc with no code behind it (one past a function's
+    /// end, or a function that does not exist) raises
+    /// [`Trap::BadCodePointer`] without retiring anything.
     pub(crate) fn exec_chain(
         &mut self,
+        code: &[DecodedFunction],
         compiled: &[CompiledFunction],
         horizon: u64,
     ) -> Result<(), Trap> {
-        let mut func = self.pc.func;
-        let mut entry = self.pc.index;
-        let mut retired = self.stats.instructions;
-        let mut masked: Option<Reg> = self.last_masked;
-        // The f64 cycle counter rides in a register for the whole
-        // chain: same adds in the same retirement order, settled on
-        // every exit, so the total stays bit-identical while the
-        // loop-carried FP dependency stops going through memory.
-        let mut cycles = self.stats.cycles;
-        // Retired-access counts batch as chain-local *deltas* (integer
-        // adds commute, unlike the cycle f64), settled wherever the
-        // cycle counter is and flushed around `exec_op` delegation,
-        // which reads `stats` directly.
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        // First inline-cache slot of the current function; a compiled
-        // memory op at index `i` owns slot `icb + i`.
-        let mut icb = self.ic_slot_base(func);
-        'chain: loop {
-            let run = match compiled
-                .get(func.0 as usize)
-                .and_then(|cf| cf.runs.get(entry as usize))
-                .and_then(Option::as_ref)
-            {
-                Some(r) if u64::from(r.n_insts) <= horizon - retired => r,
+        let mut c = self.chain();
+        loop {
+            let budget = horizon - c.retired();
+            let ops = match compiled.get(c.func.0 as usize).and_then(|cf| cf.run(c.idx)) {
+                Some((ops, n_insts)) if u64::from(n_insts) <= budget => ops,
                 _ => {
-                    // No compiled run here, or it would overrun the
-                    // horizon: settle and hand back to the decoded path.
-                    self.pc = CodeAddr { func, index: entry };
-                    self.stats.instructions = retired;
-                    self.last_masked = masked;
-                    self.stats.cycles = cycles;
-                    self.stats.loads += loads;
-                    self.stats.stores += stores;
-                    return Ok(());
-                }
-            };
-            let leader = entry;
-            let mut idx = leader;
-            for cop in run.ops.iter() {
-                match *cop {
-                    COp::MovImm { dst, imm, cost } => {
-                        cycles += cost;
-                        self.regs[dst.index()] = imm;
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::Mov { dst, src, cost } => {
-                        cycles += cost;
-                        self.regs[dst.index()] = self.regs[src.index()];
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::Lea {
-                        dst,
-                        base,
-                        offset,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        self.regs[dst.index()] =
-                            self.regs[base.index()].wrapping_add(offset as u64);
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::AluReg {
-                        op,
-                        dst,
-                        src,
-                        masks,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        let b = self.regs[src.index()];
-                        self.alu(op, dst, b);
-                        masked = if masks { Some(dst) } else { None };
-                        idx += 1;
-                    }
-                    COp::AluImm {
-                        op,
-                        dst,
-                        imm,
-                        masks,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        self.alu(op, dst, imm);
-                        masked = if masks { Some(dst) } else { None };
-                        idx += 1;
-                    }
-                    COp::Load {
-                        dst,
-                        addr,
-                        offset,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx,
-                            dst,
-                            addr,
-                            offset,
-                            masked == Some(addr),
-                        ) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::Store {
-                        src,
-                        addr,
-                        offset,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        if let Err(t) =
-                            self.c_store(&mut cycles, &mut stores, icb + idx, src, addr, offset)
-                        {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::Skip { cost } => {
-                        cycles += cost;
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::BndMk {
-                        bnd,
-                        lower,
-                        upper,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        self.bnd[bnd as usize] = (lower, upper);
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::BndCu { bnd, reg, cost } => {
-                        cycles += cost;
-                        if let Err(t) = self.c_bndcu(bnd, reg) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::BndCl { bnd, reg, cost } => {
-                        cycles += cost;
-                        self.stats.bound_checks += 1;
-                        let v = self.regs[reg.index()];
-                        let (lower, _) = self.bnd[bnd as usize];
-                        if v < lower {
-                            let t = Trap::BoundRange {
-                                reg,
-                                value: v,
-                                bound: lower,
-                            };
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::RdPkru { dst, cost } => {
-                        cycles += cost;
-                        self.regs[dst.index()] = self.space.pkru.0 as u64;
-                        masked = None;
-                        idx += 1;
-                    }
-                    COp::WrPkru { src, cost } => {
-                        cycles += cost;
-                        self.space.pkru = Pkru(self.regs[src.index()] as u32);
-                        self.stats.wrpkrus += 1;
-                        masked = None;
-                        idx += 1;
-                    }
-
-                    // --- terminators: chain into the next run -------------
-                    COp::Jmp { target, cost } => {
-                        cycles += cost;
-                        retired += u64::from(idx - leader + 1);
-                        entry = target;
-                        masked = None;
-                        continue 'chain;
-                    }
-                    COp::JmpIf {
-                        cond,
-                        a,
-                        b,
-                        target,
-                        cost,
-                    } => {
-                        cycles += cost;
-                        let taken = cond.eval(self.regs[a.index()], self.regs[b.index()]);
-                        retired += u64::from(idx - leader + 1);
-                        entry = if taken { target } else { idx + 1 };
-                        masked = None;
-                        continue 'chain;
-                    }
-                    COp::BadLabel { label, cost } => {
-                        cycles += cost;
-                        let t = Trap::BadLabel { label: label.0 };
-                        return Err(self.run_trap(
-                            func, leader, idx, retired, cycles, loads, stores, masked, t,
-                        ));
-                    }
-                    COp::Call { callee, ret, cost } => {
-                        cycles += cost;
-                        if let Err(t) = self.push_u64(ret) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        self.stats.calls += 1;
-                        retired += u64::from(idx - leader + 1);
-                        func = callee;
-                        entry = 0;
-                        icb = self.ic_slot_base(func);
-                        masked = None;
-                        continue 'chain;
-                    }
-                    COp::CallIndirect { target, ret, cost } => {
-                        cycles += cost;
-                        let value = self.regs[target.index()];
-                        let dest = match CodeAddr::decode(value) {
-                            Some(d) if (d.func.0 as usize) < self.program.functions.len() => d,
-                            _ => {
-                                let t = Trap::BadCodePointer { value };
-                                return Err(self.run_trap(
-                                    func, leader, idx, retired, cycles, loads, stores, masked, t,
-                                ));
-                            }
-                        };
-                        if let Err(t) = self.push_u64(ret) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        self.stats.indirect_calls += 1;
-                        retired += u64::from(idx - leader + 1);
-                        func = dest.func;
-                        entry = dest.index;
-                        icb = self.ic_slot_base(func);
-                        masked = None;
-                        continue 'chain;
-                    }
-                    COp::Ret { cost } => {
-                        cycles += cost;
-                        let value = match self.pop_u64() {
-                            Ok(v) => v,
-                            Err(t) => {
-                                return Err(self.run_trap(
-                                    func, leader, idx, retired, cycles, loads, stores, masked, t,
-                                ))
-                            }
-                        };
-                        let dest = match CodeAddr::decode(value) {
-                            Some(d)
-                                if (d.func.0 as usize) < self.program.functions.len()
-                                    && d.index as usize <= self.program.func(d.func).body.len() =>
-                            {
-                                d
-                            }
-                            _ => {
-                                let t = Trap::BadCodePointer { value };
-                                return Err(self.run_trap(
-                                    func, leader, idx, retired, cycles, loads, stores, masked, t,
-                                ));
-                            }
-                        };
-                        self.stats.rets += 1;
-                        retired += u64::from(idx - leader + 1);
-                        func = dest.func;
-                        entry = dest.index;
-                        icb = self.ic_slot_base(func);
-                        masked = None;
-                        continue 'chain;
-                    }
-                    COp::Halt { cost } => {
-                        cycles += cost;
-                        self.halted = Some(self.regs[Reg::Rax.index()]);
-                        self.stats.cycles = cycles;
-                        self.stats.loads += loads;
-                        self.stats.stores += stores;
-                        self.pc = CodeAddr {
-                            func,
-                            index: idx + 1,
-                        };
-                        self.stats.instructions = retired + u64::from(idx - leader + 1);
-                        self.last_masked = None;
+                    if budget == 0 {
+                        self.settle(c);
                         return Ok(());
                     }
-
-                    // --- out-of-hot-set delegation ------------------------
-                    COp::Generic { inst } => {
-                        // Sync the pc and masked state the interpreter arm
-                        // expects, run it, and read the masked state back.
-                        self.pc = CodeAddr {
-                            func,
-                            index: idx + 1,
-                        };
-                        self.last_masked = masked;
-                        // The delegated op may charge dynamic costs to the
-                        // memory counter itself: sync the accumulator in,
-                        // run it, and read the total back out. The access
-                        // deltas flush the same way (the op may read or
-                        // digest `stats`) and restart from zero.
-                        cycles += inst.cost;
-                        self.stats.cycles = cycles;
-                        self.stats.loads += loads;
-                        self.stats.stores += stores;
-                        loads = 0;
-                        stores = 0;
-                        match self.exec_op(func, &inst.op) {
-                            Ok(()) => {
-                                masked = self.last_masked;
-                                cycles = self.stats.cycles;
-                                idx += 1;
-                            }
-                            Err(t) => {
-                                // `exec_op` already left the pc and
-                                // `last_masked` exactly as the stepper's
-                                // error path does; only the retired count
-                                // still needs settling.
-                                self.stats.instructions = retired + u64::from(idx - leader + 1);
-                                return Err(t);
-                            }
-                        }
+                    let start = c.idx as usize;
+                    let Some(f) = code.get(c.func.0 as usize).filter(|f| start < f.ops.len())
+                    else {
+                        self.settle(c);
+                        return Err(Trap::BadCodePointer {
+                            value: self.pc.encode(),
+                        });
+                    };
+                    let mut end = f.block_ends[start] as usize;
+                    if (end - start) as u64 > budget {
+                        end = start + budget as usize;
                     }
-                    COp::GenericEnd { inst } => {
-                        // Terminator delegation (syscall, hypercall): the op
-                        // may redirect the pc (sigreturn) or halt, so nothing
-                        // may be written after it — the chain ends here
-                        // rather than guessing where the pc went.
-                        self.pc = CodeAddr {
-                            func,
-                            index: idx + 1,
-                        };
-                        self.last_masked = masked;
-                        cycles += inst.cost;
-                        self.stats.cycles = cycles;
-                        self.stats.loads += loads;
-                        self.stats.stores += stores;
-                        let r = self.exec_op(func, &inst.op);
-                        self.stats.instructions = retired + u64::from(idx - leader + 1);
-                        return r;
-                    }
-
-                    // --- fused superinstructions --------------------------
-                    COp::AluImmAluImm {
-                        op1,
-                        dst1,
-                        imm1,
-                        cost1,
-                        op2,
-                        dst2,
-                        imm2,
-                        masks2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        self.alu(op1, dst1, imm1);
-                        cycles += cost2;
-                        self.alu(op2, dst2, imm2);
-                        masked = if masks2 { Some(dst2) } else { None };
-                        idx += 2;
-                    }
-                    COp::AluImmLoad {
-                        op1,
-                        dst1,
-                        imm1,
-                        cost1,
-                        dst2,
-                        addr2,
-                        offset2,
-                        cost2,
-                        mid,
-                        sfi,
-                    } => {
-                        cycles += cost1;
-                        self.alu(op1, dst1, imm1);
-                        cycles += cost2;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx + 1,
-                            dst2,
-                            addr2,
-                            offset2,
-                            sfi,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                mid,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::LoadAluImm {
-                        dst1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        op2,
-                        dst2,
-                        imm2,
-                        masks2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx,
-                            dst1,
-                            addr1,
-                            offset1,
-                            masked == Some(addr1),
-                        ) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        self.alu(op2, dst2, imm2);
-                        masked = if masks2 { Some(dst2) } else { None };
-                        idx += 2;
-                    }
-                    COp::LoadLoad {
-                        dst1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        dst2,
-                        addr2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx,
-                            dst1,
-                            addr1,
-                            offset1,
-                            masked == Some(addr1),
-                        ) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        // A load clears the masked state, so the second load
-                        // can never see an SFI dependency.
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx + 1,
-                            dst2,
-                            addr2,
-                            offset2,
-                            false,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::AluImmStore {
-                        op1,
-                        dst1,
-                        imm1,
-                        cost1,
-                        src2,
-                        addr2,
-                        offset2,
-                        cost2,
-                        mid,
-                    } => {
-                        cycles += cost1;
-                        self.alu(op1, dst1, imm1);
-                        cycles += cost2;
-                        if let Err(t) = self.c_store(
-                            &mut cycles,
-                            &mut stores,
-                            icb + idx + 1,
-                            src2,
-                            addr2,
-                            offset2,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                mid,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::StoreAluImm {
-                        src1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        op2,
-                        dst2,
-                        imm2,
-                        masks2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) =
-                            self.c_store(&mut cycles, &mut stores, icb + idx, src1, addr1, offset1)
-                        {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        self.alu(op2, dst2, imm2);
-                        masked = if masks2 { Some(dst2) } else { None };
-                        idx += 2;
-                    }
-                    COp::StoreLoad {
-                        src1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        dst2,
-                        addr2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) =
-                            self.c_store(&mut cycles, &mut stores, icb + idx, src1, addr1, offset1)
-                        {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx + 1,
-                            dst2,
-                            addr2,
-                            offset2,
-                            false,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::LoadStore {
-                        dst1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        src2,
-                        addr2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx,
-                            dst1,
-                            addr1,
-                            offset1,
-                            masked == Some(addr1),
-                        ) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        if let Err(t) = self.c_store(
-                            &mut cycles,
-                            &mut stores,
-                            icb + idx + 1,
-                            src2,
-                            addr2,
-                            offset2,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::LeaAluImm {
-                        dst1,
-                        base1,
-                        offset1,
-                        cost1,
-                        op2,
-                        dst2,
-                        imm2,
-                        masks2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        self.regs[dst1.index()] =
-                            self.regs[base1.index()].wrapping_add(offset1 as u64);
-                        cycles += cost2;
-                        self.alu(op2, dst2, imm2);
-                        masked = if masks2 { Some(dst2) } else { None };
-                        idx += 2;
-                    }
-                    COp::AluImmLea {
-                        op1,
-                        dst1,
-                        imm1,
-                        cost1,
-                        dst2,
-                        base2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        self.alu(op1, dst1, imm1);
-                        cycles += cost2;
-                        self.regs[dst2.index()] =
-                            self.regs[base2.index()].wrapping_add(offset2 as u64);
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::LoadLea {
-                        dst1,
-                        addr1,
-                        offset1,
-                        cost1,
-                        dst2,
-                        base2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx,
-                            dst1,
-                            addr1,
-                            offset1,
-                            masked == Some(addr1),
-                        ) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        self.regs[dst2.index()] =
-                            self.regs[base2.index()].wrapping_add(offset2 as u64);
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::LeaBndCu {
-                        dst1,
-                        base1,
-                        offset1,
-                        cost1,
-                        bnd2,
-                        reg2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        self.regs[dst1.index()] =
-                            self.regs[base1.index()].wrapping_add(offset1 as u64);
-                        cycles += cost2;
-                        if let Err(t) = self.c_bndcu(bnd2, reg2) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::BndCuLoad {
-                        bnd1,
-                        reg1,
-                        cost1,
-                        dst2,
-                        addr2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_bndcu(bnd1, reg1) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        // A bound check clears the masked state, so the load
-                        // half carries no SFI dependency.
-                        if let Err(t) = self.c_load(
-                            &mut cycles,
-                            &mut loads,
-                            icb + idx + 1,
-                            dst2,
-                            addr2,
-                            offset2,
-                            false,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
-                    COp::BndCuStore {
-                        bnd1,
-                        reg1,
-                        cost1,
-                        src2,
-                        addr2,
-                        offset2,
-                        cost2,
-                    } => {
-                        cycles += cost1;
-                        if let Err(t) = self.c_bndcu(bnd1, reg1) {
-                            return Err(self.run_trap(
-                                func, leader, idx, retired, cycles, loads, stores, masked, t,
-                            ));
-                        }
-                        cycles += cost2;
-                        if let Err(t) = self.c_store(
-                            &mut cycles,
-                            &mut stores,
-                            icb + idx + 1,
-                            src2,
-                            addr2,
-                            offset2,
-                        ) {
-                            return Err(self.run_trap(
-                                func,
-                                leader,
-                                idx + 1,
-                                retired,
-                                cycles,
-                                loads,
-                                stores,
-                                None,
-                                t,
-                            ));
-                        }
-                        masked = None;
-                        idx += 2;
-                    }
+                    &f.ops[start..end]
                 }
+            };
+            // The slice either ran out (the chain falls through to the
+            // next index with the masked state intact; past the end of a
+            // body the next lookup raises `BadCodePointer`) or ended at an
+            // op that moved the pc or halted.
+            self.exec_ops(&mut c, ops)?;
+            if self.halted.is_some() {
+                self.settle(c);
+                return Ok(());
             }
-            // Trailing run with no terminator: fall through to the next
-            // index with the masked state intact, exactly like the
-            // decoded path (the chain lookup then either enters the next
-            // run or settles so the next fetch raises `BadCodePointer`
-            // if the body simply ends).
-            retired += u64::from(idx - leader);
-            entry = idx;
         }
+    }
+
+    /// Retires the one instruction at the pc through the same arms,
+    /// with the chain state loaded from the machine and settled back:
+    /// `Machine::step`'s lean single-op entry, which never enters the
+    /// chain loop.
+    pub(crate) fn exec_one(&mut self) -> Result<(), Trap> {
+        let Some(&op) = self
+            .code
+            .get(self.pc.func.0 as usize)
+            .and_then(|f| f.ops.get(self.pc.index as usize))
+        else {
+            return Err(Trap::BadCodePointer {
+                value: self.pc.encode(),
+            });
+        };
+        // The decoded stream holds single forms only; saying so lets the
+        // compiler leave the fused arms out of this copy.
+        if op.is_fused() {
+            unreachable!("fused {op:?} outside a compiled run");
+        }
+        let mut c = self.chain();
+        self.exec_ops(&mut c, std::slice::from_ref(&op))?;
+        self.settle(c);
+        Ok(())
     }
 }
 
@@ -1838,45 +1531,57 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::decode::decode_program;
-    use crate::machine::{Machine, MachineConfig};
-    use memsentry_ir::{Function, FunctionBuilder, Inst, Program};
+    use crate::machine::{Machine, RunOutcome};
+    use memsentry_ir::{FunctionBuilder, Inst, Program};
 
-    fn engine(threaded: bool, fusion: bool) -> MachineConfig {
-        MachineConfig {
-            threaded,
-            fusion,
-            ..MachineConfig::default()
+    /// Steps `m` one instruction at a time to an outcome.
+    fn run_stepping(m: &mut Machine) -> RunOutcome {
+        loop {
+            match m.step() {
+                Ok(()) => {
+                    if let Some(code) = m.exit_code() {
+                        return RunOutcome::Exited(code);
+                    }
+                }
+                Err(t) => return RunOutcome::Trapped(t),
+            }
         }
     }
 
-    /// Runs the same program on the stepped, unfused-threaded and
-    /// fused-threaded engines and asserts every observable — outcome,
-    /// stats (cycles bit-exact via `PartialEq` on the same add
-    /// sequence), pc and full state digest — is identical.
-    fn assert_engines_agree(build: impl Fn(&mut Program)) -> Machine {
-        let run = |config: MachineConfig| {
+    /// Runs the same program through `run` (compiled runs chained back
+    /// to back) and through `step` (one single-form op at a time) and
+    /// asserts every observable — outcome, stats (cycles bit-exact via
+    /// `PartialEq` on the same add sequence), pc and full state digest —
+    /// is identical. `prepare` sets each machine up before it runs.
+    fn assert_run_matches_step_with(
+        build: impl Fn(&mut Program),
+        prepare: impl Fn(&mut Machine),
+    ) -> Machine {
+        let machine = || {
             let mut p = Program::new();
             build(&mut p);
-            let mut m = Machine::with_config(p, config);
-            let out = m.run();
-            (out, m)
+            let mut m = Machine::new(p);
+            prepare(&mut m);
+            m
         };
-        let (out_s, m_s) = run(engine(false, false));
-        let (out_u, m_u) = run(engine(true, false));
-        let (out_f, m_f) = run(engine(true, true));
-        assert_eq!(out_s, out_u, "stepped vs threaded-unfused outcome");
-        assert_eq!(out_s, out_f, "stepped vs threaded-fused outcome");
-        for (label, m) in [("unfused", &m_u), ("fused", &m_f)] {
-            assert_eq!(m_s.stats(), m.stats(), "stats ({label})");
-            assert_eq!(
-                m_s.cycles().to_bits(),
-                m.cycles().to_bits(),
-                "cycle bits ({label})"
-            );
-            assert_eq!(m_s.pc(), m.pc(), "pc ({label})");
-            assert_eq!(m_s.state_digest(), m.state_digest(), "digest ({label})");
-        }
-        m_f
+        let mut run = machine();
+        let out_run = run.run();
+        let mut stepped = machine();
+        let out_step = run_stepping(&mut stepped);
+        assert_eq!(out_run, out_step, "outcome");
+        assert_eq!(run.stats(), stepped.stats(), "stats");
+        assert_eq!(
+            run.cycles().to_bits(),
+            stepped.cycles().to_bits(),
+            "cycle bits"
+        );
+        assert_eq!(run.pc(), stepped.pc(), "pc");
+        assert_eq!(run.state_digest(), stepped.state_digest(), "digest");
+        run
+    }
+
+    fn assert_run_matches_step(build: impl Fn(&mut Program)) -> Machine {
+        assert_run_matches_step_with(build, |_| {})
     }
 
     fn main_only(build: impl Fn(&mut FunctionBuilder)) -> impl Fn(&mut Program) {
@@ -1888,8 +1593,8 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_fused_families_and_loops() {
-        let m = assert_engines_agree(main_only(|b| {
+    fn run_matches_step_on_fused_families_and_loops() {
+        let m = assert_run_matches_step(main_only(|b| {
             let top = b.new_label();
             // Scratch buffer on the mapped stack, below the live frame.
             b.push(Inst::Lea {
@@ -1981,8 +1686,8 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_calls_and_returns() {
-        assert_engines_agree(|p| {
+    fn run_matches_step_on_calls_and_returns() {
+        assert_run_matches_step(|p| {
             let mut callee = FunctionBuilder::new("callee");
             callee.push(Inst::AluImm {
                 op: AluOp::Add,
@@ -2008,11 +1713,66 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_fault_inside_fused_pair() {
+    fn run_matches_step_on_cold_ops() {
+        // Allocator, AES staging and regions, SGX transitions and the
+        // exiting system call all run on the settled machine.
+        let m = assert_run_matches_step_with(
+            main_only(|b| {
+                b.push(Inst::MovImm {
+                    dst: Reg::Rdi,
+                    imm: 64,
+                });
+                b.push(Inst::Alloc { size: Reg::Rdi });
+                b.push(Inst::Mov {
+                    dst: Reg::Rbx,
+                    src: Reg::Rax,
+                });
+                b.push(Inst::MovImm {
+                    dst: Reg::Rcx,
+                    imm: 77,
+                });
+                b.push(Inst::Store {
+                    src: Reg::Rcx,
+                    addr: Reg::Rbx,
+                    offset: 0,
+                });
+                b.push(Inst::AesKeygen);
+                b.push(Inst::YmmToXmm { count: 11 });
+                b.push(Inst::AesRegion {
+                    base: Reg::Rbx,
+                    chunks: 2,
+                    decrypt: false,
+                });
+                b.push(Inst::AesRegion {
+                    base: Reg::Rbx,
+                    chunks: 2,
+                    decrypt: true,
+                });
+                b.push(Inst::SgxEnter);
+                b.push(Inst::Load {
+                    dst: Reg::Rdi,
+                    addr: Reg::Rbx,
+                    offset: 0,
+                });
+                b.push(Inst::SgxExit);
+                b.push(Inst::Free { ptr: Reg::Rbx });
+                b.push(Inst::Syscall { nr: 0 });
+                b.push(Inst::Halt);
+            }),
+            |m| m.install_aes_key(&[9u8; 16]),
+        );
+        assert_eq!(m.exit_code(), Some(77));
+        assert_eq!(m.stats().aes_chunks, 4);
+        assert_eq!(m.stats().allocator_calls, 2);
+        assert_eq!(m.stats().sgx_transitions, 1);
+    }
+
+    #[test]
+    fn run_matches_step_on_fault_inside_fused_pair() {
         // The faulting load sits in the second half of an aluimm+load
         // superinstruction; the trap must retire the faulting op, leave
         // the pc past it and report the same state everywhere.
-        let m = assert_engines_agree(main_only(|b| {
+        let m = assert_run_matches_step(main_only(|b| {
             b.push(Inst::MovImm {
                 dst: Reg::Rbx,
                 imm: 0x100,
@@ -2033,8 +1793,8 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_bound_trap_inside_fused_pair() {
-        assert_engines_agree(main_only(|b| {
+    fn run_matches_step_on_bound_trap_inside_fused_pair() {
+        assert_run_matches_step(main_only(|b| {
             b.push(Inst::BndMk {
                 bnd: 0,
                 lower: 0,
@@ -2054,11 +1814,11 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_when_fuel_cuts_a_block() {
-        // An absolute fuel boundary lands mid-block: the threaded engine
-        // must fall back to the decoded slice and stop on the same
+    fn run_matches_step_when_fuel_cuts_a_block() {
+        // An absolute fuel boundary lands mid-block: the chain must run
+        // the cut block's single-form ops and stop on the same
         // instruction with the same partial state.
-        let run = |threaded: bool| {
+        let machine = || {
             let mut p = Program::new();
             let mut b = FunctionBuilder::new("main");
             for i in 0..20 {
@@ -2069,12 +1829,17 @@ mod tests {
             }
             b.push(Inst::Halt);
             p.add_function(b.finish());
-            let mut m = Machine::with_config(p, engine(threaded, true));
+            let mut m = Machine::new(p);
             m.set_fuel(7);
-            let out = m.run();
-            (out, m.pc(), *m.stats(), m.state_digest())
+            m
         };
-        assert_eq!(run(true), run(false));
+        let mut run = machine();
+        let out = run.run();
+        let mut stepped = machine();
+        assert_eq!(out, run_stepping(&mut stepped));
+        assert_eq!(out, RunOutcome::Trapped(Trap::OutOfFuel));
+        let observe = |m: &Machine| (m.pc(), *m.stats(), m.state_digest());
+        assert_eq!(observe(&run), observe(&stepped));
     }
 
     /// An access tracer that appends to a log the test keeps a handle on.
@@ -2090,7 +1855,7 @@ mod tests {
     #[test]
     fn tracer_sees_every_access_in_order_without_changing_the_run() {
         // main: a fused load+load, a fused bndcu+store, a call whose
-        // callee stores, then a load from unmapped memory that faults.
+        // callee stores, then an aluimm+load pair whose load faults.
         let build = || {
             let mut p = Program::new();
             let mut main = FunctionBuilder::new("main");
@@ -2128,6 +1893,11 @@ mod tests {
                 dst: Reg::Rdx,
                 imm: 0x100,
             });
+            main.push(Inst::AluImm {
+                op: AluOp::Add,
+                dst: Reg::Rdx,
+                imm: 8,
+            });
             main.push(Inst::Load {
                 dst: Reg::R8,
                 addr: Reg::Rdx,
@@ -2145,6 +1915,17 @@ mod tests {
             p.add_function(helper.finish());
             p
         };
+        // The accesses sit in fused pairs of the compiled runs.
+        let compiled = compile_program(&decode_program(&build(), &CostModel::default()).0);
+        let has = |index: u32, fused: fn(&COp) -> bool| {
+            compiled[0]
+                .run(index)
+                .is_some_and(|(ops, _)| ops.iter().any(fused))
+        };
+        assert!(has(0, |op| matches!(op, COp::LoadLoad { .. })));
+        assert!(has(0, |op| matches!(op, COp::BndCuStore { .. })));
+        assert!(has(7, |op| matches!(op, COp::AluImmLoad { .. })));
+
         let mut plain = Machine::new(build());
         let plain_out = plain.run();
         let log = Log::default();
@@ -2154,7 +1935,7 @@ mod tests {
 
         assert_eq!(plain_out, traced_out);
         assert!(
-            matches!(traced_out, crate::RunOutcome::Trapped(Trap::Mmu(_))),
+            matches!(traced_out, RunOutcome::Trapped(Trap::Mmu(_))),
             "{traced_out:?}"
         );
         assert_eq!(plain.stats(), traced.stats());
@@ -2178,18 +1959,15 @@ mod tests {
                 (main(3), false, base + 8),
                 (main(5), true, base + 16),
                 (helper(0), true, base + 24),
-                (main(8), false, 0x100),
+                (main(9), false, 0x108),
             ]
         );
     }
 
-    fn decode_main(build: impl Fn(&mut FunctionBuilder)) -> Vec<crate::decode::DecodedFunction> {
-        let mut b = FunctionBuilder::new("main");
-        build(&mut b);
-        let f: Function = b.finish();
+    fn decode_main(build: impl Fn(&mut FunctionBuilder)) -> Vec<DecodedFunction> {
         let mut p = Program::new();
-        p.add_function(f);
-        decode_program(&p, &CostModel::default())
+        main_only(build)(&mut p);
+        decode_program(&p, &CostModel::default()).0
     }
 
     #[test]
@@ -2217,26 +1995,24 @@ mod tests {
             });
             b.push(Inst::Halt);
         });
-        let compiled = compile_program(&code, true);
-        let run = compiled[0].runs[0].as_ref().expect("entry run");
-        assert_eq!(run.n_insts, 5);
-        // mask+load fuses with the SFI dependency pre-resolved; the two
-        // trailing adds fuse as aluimm+aluimm.
+        assert_eq!(code[0].ops.len(), 5, "one single-form op per instruction");
+        let compiled = compile_program(&code);
+        let (ops, n_insts) = compiled[0].run(0).expect("entry run");
+        assert_eq!(n_insts, 5);
+        // mask+load fuses, keeping the masked register for the load's SFI
+        // dependency; the two trailing adds fuse as aluimm+aluimm.
+        assert_eq!(ops.len(), 3);
         assert!(matches!(
-            run.ops[0],
+            ops[0],
             COp::AluImmLoad {
-                sfi: true,
-                mid: Some(Reg::Rbx),
+                op1: AluOp::And,
+                dst1: Reg::Rbx,
+                addr2: Reg::Rbx,
                 ..
             }
         ));
-        assert!(matches!(run.ops[1], COp::AluImmAluImm { .. }));
-        assert!(matches!(run.ops[2], COp::Halt { .. }));
-
-        let unfused = compile_program(&code, false);
-        let run = unfused[0].runs[0].as_ref().expect("entry run");
-        assert_eq!(run.n_insts, 5);
-        assert_eq!(run.ops.len(), 5);
+        assert!(matches!(ops[1], COp::AluImmAluImm { .. }));
+        assert!(matches!(ops[2], COp::Halt { .. }));
     }
 
     #[test]
@@ -2261,14 +2037,21 @@ mod tests {
             });
             b.push(Inst::Halt);
         });
-        let compiled = compile_program(&code, true);
+        let compiled = compile_program(&code);
         // Body layout: 0 movimm | 1 label marker (branch target) |
         // 2 aluimm | 3 jmpif | 4 halt.
-        let runs = &compiled[0].runs;
-        assert!(runs[0].is_some(), "function entry");
-        assert!(runs[1].is_some(), "branch target");
-        assert!(runs[2].is_none(), "mid-block index");
-        assert!(runs[3].is_none(), "terminator mid-block");
-        assert!(runs[4].is_some(), "post-terminator fall-through");
+        let f = &compiled[0];
+        assert!(f.run(0).is_some(), "function entry");
+        assert!(f.run(1).is_some(), "branch target");
+        assert!(f.run(2).is_none(), "mid-block index");
+        assert!(f.run(3).is_none(), "terminator mid-block");
+        assert!(f.run(4).is_some(), "post-terminator fall-through");
+    }
+
+    #[test]
+    fn an_op_takes_three_words() {
+        // The decoded stream holds one op per instruction, so its width
+        // is the per-instruction construction cost.
+        assert_eq!(std::mem::size_of::<COp>(), 24);
     }
 }

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! The simulated machine: interpreter, traps, and cycle cost model.
+//! The simulated machine: execution engine, traps, and cycle cost model.
 //!
 //! This crate executes [`memsentry_ir`] programs against a
 //! [`memsentry_mmu::AddressSpace`], charging every instruction cycles from a

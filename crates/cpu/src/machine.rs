@@ -1,27 +1,30 @@
-//! The interpreter.
+//! The simulated machine.
 //!
 //! [`Machine`] executes an IR [`Program`] against a simulated
 //! [`AddressSpace`], charging cycles from the [`CostModel`] and raising
 //! typed [`Trap`]s. All the hardware features MemSentry repurposes are
-//! implemented here with their architectural semantics: MPX bound
-//! registers, the `pkru` register, `vmfunc` EPT switching, and AES-NI
-//! region encryption.
+//! implemented with their architectural semantics: MPX bound registers,
+//! the `pkru` register, `vmfunc` EPT switching, and AES-NI region
+//! encryption.
 //!
-//! Execution runs on the pre-decoded streams built by the crate-private
-//! `decode` module at construction: branch targets are already
-//! instruction indices and
-//! the static cycle charge is fused into each decoded slot, so the hot
-//! loop never consults a label table or the cost-model match. The
-//! original [`Program`] is kept (immutable) for code-pointer range checks
-//! and introspection.
+//! At construction the crate-private `decode` module lowers every
+//! function body to the engine's single-form ops — branch targets
+//! resolved to instruction indices, the static cycle charge attached —
+//! and `compile` builds a fused run for every basic-block entry point.
+//! Every instruction, whether [`Machine::run_until`] chains it inside a
+//! fused run or [`Machine::step`] retires it alone, goes through the one
+//! set of op arms in `compile`; the ops the engine keeps off its hot path
+//! (system calls, hypercalls, the allocator, EPT switches, AES and SGX)
+//! run in [`Machine`]'s cold op body here. The original [`Program`] is
+//! kept (immutable) for code-pointer range checks and introspection.
 
 use memsentry_aes::{Block, RegionCipher};
 use memsentry_ir::{AluOp, CodeAddr, FuncId, Program, Reg};
 use memsentry_mmu::{AddressSpace, PageFlags, Prot, TransCacheEntry, VirtAddr};
 
-use crate::compile::{compile_program, CompiledFunction};
+use crate::compile::{compile_program, COp, CompiledFunction};
 use crate::cost::CostModel;
-use crate::decode::{decode_program, DecodedFunction, DecodedOp};
+use crate::decode::{decode_program, Charges, DecodedFunction};
 use crate::events::{
     DomainClosure, EventAction, EventSchedule, PreemptState, SavedDomain, SignalFrame,
     SignalPolicy, TriggerKind,
@@ -53,30 +56,15 @@ pub struct MachineConfig {
     pub fuel: u64,
     /// The cycle cost model.
     pub cost: CostModel,
-    /// Drive execution through the threaded-code engine: basic-block
-    /// entry points are compiled to pre-bound op chains at construction
-    /// (the crate-private `compile` stage) and `run_until` dispatches
-    /// whole compiled runs instead of matching per decoded instruction.
-    /// Defaults to on unless the `MSENTRY_NO_THREADED` environment
-    /// variable is set — the escape hatch (mirroring
-    /// `MSENTRY_NO_CHECKPOINT`) that forces the per-instruction decoded
-    /// path everywhere for A/B determinism checks.
-    pub threaded: bool,
-    /// Fuse dominant consecutive op pairs into single-dispatch
-    /// superinstructions when compiling (no effect with `threaded` off).
-    /// Default on; the unfused engine is the ablation tracked in
-    /// `benches/interp.rs`.
-    pub fusion: bool,
-    /// Give every compiled memory op an inline translation-cache slot
+    /// Give every memory op an inline translation-cache slot
     /// ([`memsentry_mmu::TransCacheEntry`]): a generation-valid same-page
     /// hit goes straight to physical memory, skipping the full
-    /// `check_page` pipeline (no effect with `threaded` off — the decoded
-    /// path has no per-op slots). Pure memo state: excluded from
-    /// snapshots and the state digest, invalidated wholesale by the
-    /// address space's mutation generation counter. Defaults to on unless
-    /// the `MSENTRY_NO_INLINE_CACHE` environment variable is set — the
-    /// escape hatch mirroring `MSENTRY_NO_THREADED` that the determinism
-    /// CI job uses for full-`results/` A/B diffs.
+    /// `check_page` pipeline. Pure memo state: excluded from snapshots
+    /// and the state digest, invalidated wholesale by the address space's
+    /// mutation generation counter. Defaults to on unless the
+    /// `MSENTRY_NO_INLINE_CACHE` environment variable is set — the escape
+    /// hatch (mirroring `MSENTRY_NO_CHECKPOINT`) that the determinism CI
+    /// job uses for full-`results/` A/B diffs.
     pub inline_cache: bool,
 }
 
@@ -86,8 +74,6 @@ impl Default for MachineConfig {
             stack_size: STACK_SIZE,
             fuel: 200_000_000,
             cost: CostModel::default(),
-            threaded: std::env::var_os("MSENTRY_NO_THREADED").is_none(),
-            fusion: true,
             inline_cache: std::env::var_os("MSENTRY_NO_INLINE_CACHE").is_none(),
         }
     }
@@ -137,15 +123,17 @@ pub struct Machine {
     pub(crate) bnd: [(u64, u64); 4],
     pub(crate) pc: CodeAddr,
     pub(crate) program: Program,
-    /// Pre-decoded bodies (instruction streams plus basic-block bounds),
+    /// Decoded bodies (single-form op streams plus basic-block bounds),
     /// index-1:1 with each function's `body`.
-    code: Vec<DecodedFunction>,
-    /// Threaded-code runs compiled from `code` at construction (empty
-    /// with [`MachineConfig::threaded`] off). Immutable derived data like
-    /// `code` itself: excluded from snapshots and the state digest.
+    pub(crate) code: Vec<DecodedFunction>,
+    /// The static charges the hot ops of `code` index.
+    pub(crate) charges: Charges,
+    /// Fused runs compiled from `code` at construction, one per block
+    /// entry point. Immutable derived data like `code` itself: excluded
+    /// from snapshots and the state digest.
     compiled: Vec<CompiledFunction>,
     /// Inline translation-cache slots, one per source instruction index
-    /// of every function (compiled memory ops index it as
+    /// of every function (memory ops index it as
     /// `ic_base[func] + idx`; empty with the cache disabled, which makes
     /// every probe miss to the full path). Pure memo state validated by
     /// the address space's mutation generation: excluded from snapshots
@@ -168,7 +156,7 @@ pub struct Machine {
     fuel: u64,
     epc: Option<(u64, u64)>,
     in_enclave: bool,
-    tracer: Option<Box<dyn AccessTracer>>,
+    pub(crate) tracer: Option<Box<dyn AccessTracer>>,
     syscall_passthrough: bool,
     pub(crate) threads: Vec<ThreadCtx>,
     pub(crate) active_thread: usize,
@@ -214,18 +202,14 @@ impl Machine {
             stack_pages,
             PageFlags::rw(),
         );
-        let code = decode_program(&program, &config.cost);
-        let compiled = if config.threaded {
-            compile_program(&code, config.fusion)
-        } else {
-            Vec::new()
-        };
-        let (ic, ic_base) = if config.threaded && config.inline_cache {
+        let (code, charges) = decode_program(&program, &config.cost);
+        let compiled = compile_program(&code);
+        let (ic, ic_base) = if config.inline_cache {
             let mut base = Vec::with_capacity(code.len());
             let mut total = 0u32;
             for f in &code {
                 base.push(total);
-                total += f.insts.len() as u32;
+                total += f.ops.len() as u32;
             }
             (
                 vec![TransCacheEntry::INVALID; total as usize].into_boxed_slice(),
@@ -243,6 +227,7 @@ impl Machine {
             pc: CodeAddr::entry(program.entry),
             program,
             code,
+            charges,
             compiled,
             ic,
             ic_base,
@@ -455,17 +440,18 @@ impl Machine {
     ///
     /// Execution proceeds in **event-horizon batches**: each loop
     /// iteration computes a horizon — the nearest of `stop`, the fuel
-    /// budget and the next scheduled event — and retires whole
-    /// straight-line basic blocks up to it with no per-instruction fuel
-    /// check, event poll or fetch bounds check. Events still land exactly
-    /// at their scheduled boundary: the horizon computation guarantees no
-    /// event is due strictly before it, and everything due *at* a boundary
-    /// fires before the next instruction executes, exactly as the
-    /// per-instruction [`Machine::step`] path does. (Events due exactly at
-    /// `stop` fire at the start of the next execution call, matching a
-    /// caller that stops stepping at `stop`.) During an in-flight forced
-    /// preemption the machine drops to per-instruction stepping, because
-    /// the quantum counts down per retired instruction.
+    /// budget and the next scheduled event — and chains compiled runs up
+    /// to it with no per-instruction fuel check, event poll or fetch
+    /// bounds check, stopping exactly at the horizon even inside a block.
+    /// Events still land exactly at their scheduled boundary: the horizon
+    /// computation guarantees no event is due strictly before it, and
+    /// everything due *at* a boundary fires before the next instruction
+    /// executes, exactly as the per-instruction [`Machine::step`] path
+    /// does. (Events due exactly at `stop` fire at the start of the next
+    /// execution call, matching a caller that stops stepping at `stop`.)
+    /// During an in-flight forced preemption the machine drops to
+    /// per-instruction stepping, because the quantum counts down per
+    /// retired instruction.
     ///
     /// # Errors
     ///
@@ -497,80 +483,21 @@ impl Machine {
         Ok(())
     }
 
-    /// The tight inner loop: retires whole basic blocks until the machine
-    /// halts or `stats.instructions` reaches `horizon`. The caller
-    /// guarantees no event is due and no preemption is in flight before
-    /// `horizon`, and that `horizon <= fuel`.
+    /// The tight inner loop: chains compiled runs until the machine halts
+    /// or `stats.instructions` reaches `horizon`. The caller guarantees
+    /// no event is due and no preemption is in flight before `horizon`,
+    /// and that `horizon <= fuel`.
     fn run_blocks(&mut self, horizon: u64) -> Result<(), Trap> {
         // The decoded and compiled code are immutable during execution but
         // the borrow checker cannot see that through `&mut self`; park
-        // them locally for the duration of the batch. `exec_op` and
-        // `exec_chain` never touch `self.code` or `self.compiled`.
+        // them locally for the duration of the batch. `exec_chain` never
+        // touches `self.code` or `self.compiled`.
         let code = std::mem::take(&mut self.code);
         let compiled = std::mem::take(&mut self.compiled);
-        let r = self.run_blocks_inner(&code, &compiled, horizon);
+        let r = self.exec_chain(&code, &compiled, horizon);
         self.code = code;
         self.compiled = compiled;
         r
-    }
-
-    fn run_blocks_inner(
-        &mut self,
-        code: &[DecodedFunction],
-        compiled: &[CompiledFunction],
-        horizon: u64,
-    ) -> Result<(), Trap> {
-        while self.halted.is_none() && self.stats.instructions < horizon {
-            // Threaded fast path: chain compiled blocks back to back —
-            // the pc, masked state and retired count stay in locals
-            // across taken branches — until the horizon, a halt, or a pc
-            // without a compiled run that fits the remaining budget
-            // (mid-block entry from a replay seek or horizon cut). No
-            // tracer may be observing (the compiled arms skip the
-            // per-access tracer hook). The decoded slice below then
-            // handles exactly one block, which keeps injection-boundary
-            // semantics without compiled duplicates.
-            if self.tracer.is_none() {
-                self.exec_chain(compiled, horizon)?;
-                if self.halted.is_some() || self.stats.instructions >= horizon {
-                    return Ok(());
-                }
-            }
-            let func = self.pc.func;
-            let start = self.pc.index as usize;
-            let f = match code.get(func.0 as usize) {
-                Some(f) if start < f.insts.len() => f,
-                _ => {
-                    return Err(Trap::BadCodePointer {
-                        value: self.pc.encode(),
-                    })
-                }
-            };
-            // One bounds decision per block: run to the block terminator,
-            // or to the horizon if it cuts the block short (the truncated
-            // slice then contains only straight-line ops).
-            let budget = horizon - self.stats.instructions;
-            let mut end = f.block_ends[start] as usize;
-            if (end - start) as u64 > budget {
-                end = start + budget as usize;
-            }
-            // `stats.instructions` is not observable mid-block (no event
-            // poll, fuel check or handler runs inside the slice), so the
-            // counter is settled once per block — per-instruction on a
-            // trap exit, in one add on the straight-line exit. Cycle
-            // accumulation order is untouched: bit-identity of the f64
-            // total requires the same adds in the same sequence.
-            for (i, d) in f.insts[start..end].iter().enumerate() {
-                self.pc.index += 1;
-                self.stats.cycles += d.cost;
-                if let Err(t) = self.exec_op(func, &d.op) {
-                    self.stats.instructions += i as u64 + 1;
-                    return Err(t);
-                }
-            }
-            self.stats.instructions += (end - start) as u64;
-        }
-        Ok(())
     }
 
     pub(crate) fn push_u64(&mut self, value: u64) -> Result<(), Trap> {
@@ -625,15 +552,16 @@ impl Machine {
         Ok(())
     }
 
-    /// Executes one instruction from the pre-decoded stream.
+    /// Executes one instruction.
     ///
     /// Semantically one iteration of the horizon executor with a
     /// one-instruction horizon: fuel check, event poll, fetch, execute,
-    /// preemption tick — in exactly that order. [`Machine::run_until`] is
-    /// bit-for-bit equivalent to looping on `step` (property-tested in
-    /// `tests/properties.rs`); `step` remains for callers that need
-    /// per-instruction observation. Like `run_until`, it does nothing on
-    /// a halted machine.
+    /// preemption tick — in exactly that order — through the same op arms
+    /// the compiled runs use, without entering the chain loop.
+    /// [`Machine::run_until`] is bit-for-bit equivalent to looping on
+    /// `step` (property-tested in `tests/properties.rs`); `step` remains
+    /// for callers that need per-instruction observation. Like
+    /// `run_until`, it does nothing on a halted machine.
     ///
     /// # Errors
     ///
@@ -675,156 +603,29 @@ impl Machine {
     pub(crate) fn current_op_kind(&self) -> Option<crate::opstats::OpKind> {
         self.code
             .get(self.pc.func.0 as usize)
-            .and_then(|f| f.insts.get(self.pc.index as usize))
-            .map(|d| crate::opstats::OpKind::of(&d.op))
+            .and_then(|f| f.ops.get(self.pc.index as usize))
+            .map(crate::opstats::OpKind::of)
     }
 
     /// Fetch + execute + preemption tick for one instruction, with no
     /// fuel or event consultation (the caller has already done both).
     fn step_slow(&mut self) -> Result<(), Trap> {
-        let func = self.pc.func;
-        let decoded = match self
-            .code
-            .get(func.0 as usize)
-            .and_then(|f| f.insts.get(self.pc.index as usize))
-        {
-            Some(d) => *d,
-            None => {
-                return Err(Trap::BadCodePointer {
-                    value: self.pc.encode(),
-                })
-            }
-        };
-        self.pc.index += 1;
-        self.stats.instructions += 1;
-        self.stats.cycles += decoded.cost;
-        self.exec_op(func, &decoded.op)?;
+        self.exec_one()?;
         if self.preempt.is_some() {
             self.tick_preempt()?;
         }
         Ok(())
     }
 
-    /// Executes one already-fetched instruction. `pc.index` has been
-    /// advanced past it and its static cost charged; `func` is the
-    /// function it was fetched from (for tracer code addresses).
-    pub(crate) fn exec_op(&mut self, func: FuncId, op: &DecodedOp) -> Result<(), Trap> {
-        let mut next_masked = None;
+    /// The body of a cold op: the ops the engine keeps off its hot arms
+    /// (system calls, hypercalls, the allocator, EPT switches, AES and
+    /// SGX). `Machine::exec_cold` settles the machine around the call, so
+    /// the pc already points past the op and its static charge is in
+    /// `stats.cycles`; a system call may halt or, through `sigreturn`,
+    /// move the pc anywhere.
+    pub(crate) fn cold_op(&mut self, op: &COp) -> Result<(), Trap> {
         match *op {
-            DecodedOp::MovImm { dst, imm } => self.regs[dst.index()] = imm,
-            DecodedOp::Mov { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
-            DecodedOp::Lea { dst, base, offset } => {
-                self.regs[dst.index()] = self.regs[base.index()].wrapping_add(offset as u64);
-            }
-            DecodedOp::AluReg {
-                op,
-                dst,
-                src,
-                masks,
-            } => {
-                let b = self.regs[src.index()];
-                self.alu(op, dst, b);
-                if masks {
-                    next_masked = Some(dst);
-                }
-            }
-            DecodedOp::AluImm {
-                op,
-                dst,
-                imm,
-                masks,
-            } => {
-                self.alu(op, dst, imm);
-                if masks {
-                    next_masked = Some(dst);
-                }
-            }
-            DecodedOp::Load { dst, addr, offset } => {
-                if self.last_masked == Some(addr) {
-                    self.stats.cycles += self.cost.sfi_load_dependency;
-                }
-                let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        CodeAddr {
-                            func,
-                            index: self.pc.index - 1,
-                        },
-                        false,
-                        va.0,
-                    );
-                }
-                self.check_epc(va.0)?;
-                let (value, info) = self.space.read_u64_info(va)?;
-                if !info.tlb_hit {
-                    self.stats.cycles += info.walk_levels as f64 * self.cost.walk_per_level;
-                }
-                self.stats.cycles += self.cost.miss_penalty(info.hit_level);
-                self.regs[dst.index()] = value;
-                self.stats.loads += 1;
-            }
-            DecodedOp::Store { src, addr, offset } => {
-                let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        CodeAddr {
-                            func,
-                            index: self.pc.index - 1,
-                        },
-                        true,
-                        va.0,
-                    );
-                }
-                self.check_epc(va.0)?;
-                let info = self.space.write_u64(va, self.regs[src.index()])?;
-                if !info.tlb_hit {
-                    self.stats.cycles += info.walk_levels as f64 * self.cost.walk_per_level;
-                }
-                // Stores retire through the store buffer; only a sliver of
-                // the miss latency is exposed.
-                self.stats.cycles +=
-                    self.cost.store_buffer_exposure * self.cost.miss_penalty(info.hit_level);
-                self.stats.stores += 1;
-            }
-            DecodedOp::Skip => {}
-            DecodedOp::Jmp { target } => self.pc.index = target,
-            DecodedOp::JmpIf { cond, a, b, target } => {
-                if cond.eval(self.regs[a.index()], self.regs[b.index()]) {
-                    self.pc.index = target;
-                }
-            }
-            DecodedOp::BadLabel { label } => {
-                return Err(Trap::BadLabel { label: label.0 });
-            }
-            DecodedOp::Call { callee } => {
-                let ret = self.pc.encode();
-                self.push_u64(ret)?;
-                self.pc = CodeAddr::entry(callee);
-                self.stats.calls += 1;
-            }
-            DecodedOp::CallIndirect { target } => {
-                let value = self.regs[target.index()];
-                let dest = CodeAddr::decode(value).ok_or(Trap::BadCodePointer { value })?;
-                if dest.func.0 as usize >= self.program.functions.len() {
-                    return Err(Trap::BadCodePointer { value });
-                }
-                let ret = self.pc.encode();
-                self.push_u64(ret)?;
-                self.pc = dest;
-                self.stats.indirect_calls += 1;
-            }
-            DecodedOp::Ret => {
-                let value = self.pop_u64()?;
-                let dest = CodeAddr::decode(value).ok_or(Trap::BadCodePointer { value })?;
-                if dest.func.0 as usize >= self.program.functions.len()
-                    || dest.index as usize > self.program.func(dest.func).body.len()
-                {
-                    return Err(Trap::BadCodePointer { value });
-                }
-                self.pc = dest;
-                self.stats.rets += 1;
-            }
-            DecodedOp::Syscall { nr } => {
+            COp::Syscall { nr, .. } => {
                 self.stats.syscalls += 1;
                 if nr == crate::kernel::nr::SIGRETURN {
                     // Architectural, not a kernel service: pops the signal
@@ -835,84 +636,7 @@ impl Machine {
                     self.dispatch_syscall(nr)?;
                 }
             }
-            DecodedOp::Alloc { size } => {
-                let size = self.regs[size.index()];
-                let mut heap = self
-                    .heap
-                    .take()
-                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
-                let ptr = if self.forced_alloc_failures > 0 {
-                    self.forced_alloc_failures -= 1;
-                    None
-                } else {
-                    heap.alloc(&mut self.space, size)
-                };
-                self.heap = Some(heap);
-                self.stats.allocator_calls += 1;
-                self.regs[Reg::Rax.index()] = ptr.ok_or(Trap::OutOfMemory)?;
-            }
-            DecodedOp::Free { ptr } => {
-                let p = self.regs[ptr.index()];
-                let mut heap = self
-                    .heap
-                    .take()
-                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
-                heap.free(&mut self.space, p);
-                self.heap = Some(heap);
-                self.stats.allocator_calls += 1;
-            }
-            DecodedOp::Halt => self.halted = Some(self.regs[Reg::Rax.index()]),
-            DecodedOp::BndMk { bnd, lower, upper } => {
-                self.bnd[bnd as usize] = (lower, upper);
-            }
-            DecodedOp::BndCu { bnd, reg } => {
-                self.stats.bound_checks += 1;
-                let v = self.regs[reg.index()];
-                let (_, upper) = self.bnd[bnd as usize];
-                if v > upper {
-                    return Err(Trap::BoundRange {
-                        reg,
-                        value: v,
-                        bound: upper,
-                    });
-                }
-            }
-            DecodedOp::BndCl { bnd, reg } => {
-                self.stats.bound_checks += 1;
-                let v = self.regs[reg.index()];
-                let (lower, _) = self.bnd[bnd as usize];
-                if v < lower {
-                    return Err(Trap::BoundRange {
-                        reg,
-                        value: v,
-                        bound: lower,
-                    });
-                }
-            }
-            DecodedOp::RdPkru { dst } => {
-                self.regs[dst.index()] = self.space.pkru.0 as u64;
-            }
-            DecodedOp::WrPkru { src } => {
-                self.space.pkru = memsentry_mmu::Pkru(self.regs[src.index()] as u32);
-                self.stats.wrpkrus += 1;
-            }
-            DecodedOp::VmFunc { eptp } => {
-                if !self.in_vm {
-                    return Err(Trap::VmError {
-                        reason: "vmfunc outside VM",
-                    });
-                }
-                let ept = self.space.ept_mut().ok_or(Trap::VmError {
-                    reason: "no EPT installed",
-                })?;
-                if !ept.vmfunc_switch(eptp as usize) {
-                    return Err(Trap::VmError {
-                        reason: "EPTP index out of range",
-                    });
-                }
-                self.stats.vmfuncs += 1;
-            }
-            DecodedOp::VmCall { nr } => {
+            COp::VmCall { nr, .. } => {
                 if !self.in_vm {
                     return Err(Trap::VmError {
                         reason: "vmcall outside VM",
@@ -934,17 +658,57 @@ impl Machine {
                     SyscallOutcome::Exit(code) => self.halted = Some(code),
                 }
             }
-            DecodedOp::YmmToXmm => {
-                self.keys_in_xmm = true;
+            COp::Alloc { size, .. } => {
+                let size = self.regs[size.index()];
+                let mut heap = self
+                    .heap
+                    .take()
+                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
+                let ptr = if self.forced_alloc_failures > 0 {
+                    self.forced_alloc_failures -= 1;
+                    None
+                } else {
+                    heap.alloc(&mut self.space, size)
+                };
+                self.heap = Some(heap);
+                self.stats.allocator_calls += 1;
+                self.regs[Reg::Rax.index()] = ptr.ok_or(Trap::OutOfMemory)?;
             }
-            DecodedOp::AesSetup => {
-                // Key material is derived in registers; semantically the
-                // cipher is already installed, these charge cycles.
+            COp::Free { ptr, .. } => {
+                let p = self.regs[ptr.index()];
+                let mut heap = self
+                    .heap
+                    .take()
+                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
+                heap.free(&mut self.space, p);
+                self.heap = Some(heap);
+                self.stats.allocator_calls += 1;
             }
-            DecodedOp::AesRegion {
+            COp::VmFunc { eptp, .. } => {
+                if !self.in_vm {
+                    return Err(Trap::VmError {
+                        reason: "vmfunc outside VM",
+                    });
+                }
+                let ept = self.space.ept_mut().ok_or(Trap::VmError {
+                    reason: "no EPT installed",
+                })?;
+                if !ept.vmfunc_switch(eptp as usize) {
+                    return Err(Trap::VmError {
+                        reason: "EPTP index out of range",
+                    });
+                }
+                self.stats.vmfuncs += 1;
+            }
+            COp::YmmToXmm { .. } => self.keys_in_xmm = true,
+            // Key material is derived in registers; semantically the
+            // cipher is already installed, these charge cycles.
+            COp::AesSetup { .. } => {}
+            COp::AesRegion {
                 base,
                 chunks,
                 decrypt,
+                ..
             } => {
                 let cipher = self.cipher.as_ref().ok_or(Trap::MissingAesKeys)?;
                 if !self.keys_in_xmm {
@@ -962,15 +726,13 @@ impl Machine {
                 self.space.write(va, &buf)?;
                 self.stats.aes_chunks += chunks as u64;
             }
-            DecodedOp::SgxEnter => {
+            COp::SgxEnter { .. } => {
                 self.in_enclave = true;
                 self.stats.sgx_transitions += 1;
             }
-            DecodedOp::SgxExit => {
-                self.in_enclave = false;
-            }
+            COp::SgxExit { .. } => self.in_enclave = false,
+            _ => unreachable!("{op:?} runs on the engine's hot arms"),
         }
-        self.last_masked = next_masked;
         Ok(())
     }
 

@@ -1,6 +1,6 @@
 //! Retired op-pair profiling.
 //!
-//! The threaded-code compiler (`crate::compile`) fuses the dominant
+//! The engine's compiler (`crate::compile`) fuses the dominant
 //! consecutive op pairs of the workload profiles into superinstructions.
 //! This module provides the measurement that justifies and pins that
 //! fusion set: a per-run histogram of *retired pairs* — every two ops the
@@ -11,11 +11,13 @@
 //! static fusion can cover).
 //!
 //! Driven by `memsentry-bench --bin opstats` (per-profile tables in
-//! EXPERIMENTS.md) and `msentry run --op-stats`. Profiling runs step the
-//! per-instruction interpreter, so the histogram is exact regardless of
-//! the compiled engine's own batching.
+//! EXPERIMENTS.md) and `msentry run --op-stats`. Profiling runs step one
+//! instruction at a time, so the histogram is exact regardless of how
+//! the compiled runs group instructions.
 
-use crate::decode::DecodedOp;
+use memsentry_ir::AluOp;
+
+use crate::compile::COp;
 use crate::machine::Machine;
 use crate::trap::Trap;
 
@@ -28,7 +30,7 @@ pub const OP_KINDS: usize = 32;
 /// mask+load pair is one of the fusion candidates named by the profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
-#[allow(missing_docs)] // variant names mirror `Inst`/`DecodedOp` 1:1
+#[allow(missing_docs)] // variant names mirror `Inst` 1:1
 pub enum OpKind {
     MovImm,
     Mov,
@@ -144,50 +146,42 @@ impl OpKind {
         }
     }
 
-    pub(crate) fn of(op: &DecodedOp) -> OpKind {
-        match op {
-            DecodedOp::MovImm { .. } => OpKind::MovImm,
-            DecodedOp::Mov { .. } => OpKind::Mov,
-            DecodedOp::Lea { .. } => OpKind::Lea,
-            DecodedOp::AluReg { masks, .. } => {
-                if *masks {
-                    OpKind::AluRegMask
-                } else {
-                    OpKind::AluReg
-                }
-            }
-            DecodedOp::AluImm { masks, .. } => {
-                if *masks {
-                    OpKind::AluImmMask
-                } else {
-                    OpKind::AluImm
-                }
-            }
-            DecodedOp::Load { .. } => OpKind::Load,
-            DecodedOp::Store { .. } => OpKind::Store,
-            DecodedOp::Skip => OpKind::Skip,
-            DecodedOp::Jmp { .. } => OpKind::Jmp,
-            DecodedOp::JmpIf { .. } => OpKind::JmpIf,
-            DecodedOp::BadLabel { .. } => OpKind::BadLabel,
-            DecodedOp::Call { .. } => OpKind::Call,
-            DecodedOp::CallIndirect { .. } => OpKind::CallIndirect,
-            DecodedOp::Ret => OpKind::Ret,
-            DecodedOp::Syscall { .. } => OpKind::Syscall,
-            DecodedOp::Alloc { .. } => OpKind::Alloc,
-            DecodedOp::Free { .. } => OpKind::Free,
-            DecodedOp::Halt => OpKind::Halt,
-            DecodedOp::BndMk { .. } => OpKind::BndMk,
-            DecodedOp::BndCu { .. } => OpKind::BndCu,
-            DecodedOp::BndCl { .. } => OpKind::BndCl,
-            DecodedOp::RdPkru { .. } => OpKind::RdPkru,
-            DecodedOp::WrPkru { .. } => OpKind::WrPkru,
-            DecodedOp::VmFunc { .. } => OpKind::VmFunc,
-            DecodedOp::VmCall { .. } => OpKind::VmCall,
-            DecodedOp::YmmToXmm => OpKind::YmmToXmm,
-            DecodedOp::AesSetup => OpKind::AesSetup,
-            DecodedOp::AesRegion { .. } => OpKind::AesRegion,
-            DecodedOp::SgxEnter => OpKind::SgxEnter,
-            DecodedOp::SgxExit => OpKind::SgxExit,
+    /// The kind of a single-form op, as the decoded stream holds it.
+    pub(crate) fn of(op: &COp) -> OpKind {
+        match *op {
+            COp::MovImm { .. } => OpKind::MovImm,
+            COp::Mov { .. } => OpKind::Mov,
+            COp::Lea { .. } => OpKind::Lea,
+            COp::AluReg { op: AluOp::And, .. } => OpKind::AluRegMask,
+            COp::AluReg { .. } => OpKind::AluReg,
+            COp::AluImm { op: AluOp::And, .. } => OpKind::AluImmMask,
+            COp::AluImm { .. } => OpKind::AluImm,
+            COp::Load { .. } => OpKind::Load,
+            COp::Store { .. } => OpKind::Store,
+            COp::Skip { .. } => OpKind::Skip,
+            COp::Jmp { .. } => OpKind::Jmp,
+            COp::JmpIf { .. } => OpKind::JmpIf,
+            COp::BadLabel { .. } => OpKind::BadLabel,
+            COp::Call { .. } => OpKind::Call,
+            COp::CallIndirect { .. } => OpKind::CallIndirect,
+            COp::Ret { .. } => OpKind::Ret,
+            COp::Syscall { .. } => OpKind::Syscall,
+            COp::Alloc { .. } => OpKind::Alloc,
+            COp::Free { .. } => OpKind::Free,
+            COp::Halt { .. } => OpKind::Halt,
+            COp::BndMk { .. } => OpKind::BndMk,
+            COp::BndCu { .. } => OpKind::BndCu,
+            COp::BndCl { .. } => OpKind::BndCl,
+            COp::RdPkru { .. } => OpKind::RdPkru,
+            COp::WrPkru { .. } => OpKind::WrPkru,
+            COp::VmFunc { .. } => OpKind::VmFunc,
+            COp::VmCall { .. } => OpKind::VmCall,
+            COp::YmmToXmm { .. } => OpKind::YmmToXmm,
+            COp::AesSetup { .. } => OpKind::AesSetup,
+            COp::AesRegion { .. } => OpKind::AesRegion,
+            COp::SgxEnter { .. } => OpKind::SgxEnter,
+            COp::SgxExit { .. } => OpKind::SgxExit,
+            _ => unreachable!("fused {op:?} never sits in the decoded stream"),
         }
     }
 }

@@ -486,12 +486,14 @@ properties! {
         assert_eq!(fast.signal_depth(), slow.signal_depth());
     }
 
-    /// The threaded-code engine is invisible: over random programs,
+    /// How execution is driven is invisible: over random programs,
     /// random event schedules, and every address-based instrumentation
     /// flavour (whose mask/bound sequences exercise the fused
-    /// superinstruction arms), a threaded `run`, an unthreaded `run`,
-    /// and the per-instruction stepper finish with identical outcomes,
-    /// `Stats`, cycle bits, and full machine-state digests.
+    /// superinstruction arms), a whole `run` (fused runs chained back to
+    /// back), `run_until` with a one-instruction horizon at every
+    /// boundary (every block entered mid-way and cut short), and the
+    /// per-instruction stepper finish with identical outcomes, `Stats`,
+    /// cycle bits, and full machine-state digests.
     #[test]
     fn threaded_engine_matches_stepping_under_events_and_instrumentation(
         g;
@@ -499,9 +501,7 @@ properties! {
         events in g.vec(0..5, |g| (g.range(0u8..4), g.range(0u64..150))),
         flavour in g.range(0u8..4),
     ) {
-        use memsentry_repro::cpu::{
-            Event, EventAction, EventSchedule, MachineConfig, RunOutcome, SignalPolicy,
-        };
+        use memsentry_repro::cpu::{Event, EventAction, EventSchedule, RunOutcome, SignalPolicy};
 
         const SCRATCH: u64 = 0x20_0000;
         let build = || {
@@ -563,22 +563,30 @@ properties! {
                 })
                 .collect(),
         );
-        let machine = |threaded: bool| {
-            let mut m = Machine::with_config(
-                build(),
-                MachineConfig { threaded, ..MachineConfig::default() },
-            );
+        let machine = || {
+            let mut m = Machine::new(build());
             m.space.map_region(VirtAddr(SCRATCH), PAGE_SIZE, PageFlags::rw());
             m.spawn_thread(FuncId(3), [0; 3]);
             m.set_signal_policy(SignalPolicy { handler: FuncId(2), scrub: false });
             m.set_event_schedule(schedule.clone());
             m
         };
-        let mut threaded = machine(true);
-        let fast = threaded.run();
-        let mut unthreaded = machine(false);
-        assert_eq!(fast.clone(), unthreaded.run());
-        let mut slow = machine(false);
+        let mut whole = machine();
+        let fast = whole.run();
+        let mut cut = machine();
+        let horizons = loop {
+            let n = cut.stats().instructions;
+            match cut.run_until(n + 1) {
+                Ok(()) => {
+                    if let Some(code) = cut.exit_code() {
+                        break RunOutcome::Exited(code);
+                    }
+                }
+                Err(t) => break RunOutcome::Trapped(t),
+            }
+        };
+        assert_eq!(fast.clone(), horizons);
+        let mut slow = machine();
         let stepped = loop {
             match slow.step() {
                 Ok(()) => {
@@ -590,19 +598,20 @@ properties! {
             }
         };
         assert_eq!(fast, stepped);
-        for other in [&unthreaded, &slow] {
-            assert_eq!(threaded.stats(), other.stats());
-            assert_eq!(threaded.cycles().to_bits(), other.cycles().to_bits());
-            assert_eq!(threaded.state_digest(), other.state_digest());
+        for other in [&cut, &slow] {
+            assert_eq!(whole.stats(), other.stats());
+            assert_eq!(whole.cycles().to_bits(), other.cycles().to_bits());
+            assert_eq!(whole.state_digest(), other.state_digest());
         }
     }
 
     /// Storm schedules are as safe as one-shots: over random programs and
     /// random recurring/burst/compound stream specs, the machine never
-    /// panics — every run ends in a normal exit or a typed trap — and the
-    /// threaded engine retires an identical storm boundary-for-boundary:
-    /// state digests are equal at every retired-instruction boundary, not
-    /// just at the end.
+    /// panics — every run ends in a normal exit or a typed trap — and
+    /// one-instruction `run_until` horizons retire an identical storm to
+    /// the per-instruction stepper, boundary-for-boundary: state digests
+    /// are equal at every retired-instruction boundary, not just at the
+    /// end.
     #[test]
     fn storms_never_panic_and_engines_agree(
         g;
@@ -615,8 +624,8 @@ properties! {
         depth_limit in g.range(1usize..6),
     ) {
         use memsentry_repro::cpu::{
-            seeded_offsets, EventAction, EventSchedule, MachineConfig, RunOutcome, SignalPolicy,
-            StreamSource, TriggerKind,
+            seeded_offsets, EventAction, EventSchedule, RunOutcome, SignalPolicy, StreamSource,
+            TriggerKind,
         };
 
         const SCRATCH: u64 = 0x20_0000;
@@ -689,11 +698,8 @@ properties! {
             action: EventAction::Signal,
         });
         let schedule = EventSchedule::with_streams(Vec::new(), streams);
-        let machine = |threaded: bool| {
-            let mut m = Machine::with_config(
-                build(),
-                MachineConfig { threaded, ..MachineConfig::default() },
-            );
+        let machine = || {
+            let mut m = Machine::new(build());
             m.space.map_region(VirtAddr(SCRATCH), PAGE_SIZE, PageFlags::rw());
             m.spawn_thread(FuncId(3), [0; 3]);
             m.set_signal_policy(SignalPolicy { handler: FuncId(2), scrub: false });
@@ -702,8 +708,8 @@ properties! {
             m.set_fuel(5_000);
             m
         };
-        let mut a = machine(true);
-        let mut b = machine(false);
+        let mut a = machine();
+        let mut b = machine();
         // Reaching a RunOutcome at all IS the no-panic oracle; a typed
         // trap (reentrancy overflow, out of fuel) is a legitimate end.
         let _end = loop {
@@ -713,7 +719,7 @@ properties! {
             }
             let n = a.stats().instructions;
             let ra = a.run_until(n + 1);
-            let rb = b.run_until(n + 1);
+            let rb = b.step();
             assert_eq!(ra.clone(), rb);
             if let Err(t) = ra {
                 break RunOutcome::Trapped(t);
@@ -1133,7 +1139,7 @@ properties! {
         let machine = |inline_cache: bool| {
             let mut m = Machine::with_config(
                 build(),
-                MachineConfig { threaded: true, inline_cache, ..MachineConfig::default() },
+                MachineConfig { inline_cache, ..MachineConfig::default() },
             );
             m.space.map_region(VirtAddr(SCRATCH), PAGE_SIZE, PageFlags::rw());
             m.space.map_region(VirtAddr(SCRATCH2), PAGE_SIZE, PageFlags::rw());

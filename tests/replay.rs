@@ -184,27 +184,13 @@ fn fuel_is_an_exact_retired_instruction_budget() {
 
 #[test]
 fn recordings_are_engine_independent() {
-    // The threaded-code engine and the per-instruction stepper must feed
-    // `Recording` identical checkpoint streams: capturing the same
-    // instrumented run (with a hostile mid-run write) under both engines
-    // and seeking every boundary must observe bit-identical machines —
-    // same retired count, cycle bits, and full `state_digest`.
-    let build = |threaded: bool| {
-        let mut program = listing("shadow_demo.ms");
-        let fw = MemSentry::new(Technique::Mpk, 4096);
-        fw.instrument(&mut program, Application::ShadowStack)
-            .expect("instruments");
-        let mut m = Machine::with_config(
-            program,
-            MachineConfig {
-                threaded,
-                ..MachineConfig::default()
-            },
-        );
-        fw.prepare_machine(&mut m).expect("prepares");
-        (m, fw)
-    };
-    let (mut threaded_m, fw) = build(true);
+    // A recording and the per-instruction stepper must agree: seeking the
+    // recording to a boundary (restore, then one `run_until` over the
+    // gap) and stepping a fresh machine there from the start must observe
+    // bit-identical machines — same retired count, cycle bits, and full
+    // `state_digest` — over an instrumented run with a hostile mid-run
+    // write, and both runs must end the same way.
+    let (mut recorded, fw) = mpk_machine();
     let events = vec![memsentry_repro::cpu::Event {
         at: 5,
         action: EventAction::Write {
@@ -212,20 +198,25 @@ fn recordings_are_engine_independent() {
             value: 0xdead_beef,
         },
     }];
-    let (mut stepped_m, _fw) = build(false);
-    let threaded = Recording::capture(&mut threaded_m, 4, &events);
-    let stepped = Recording::capture(&mut stepped_m, 4, &events);
-    assert_eq!(threaded.outcome(), stepped.outcome());
-    assert_eq!(threaded.boundaries(), stepped.boundaries());
-    for boundary in 0..=threaded.boundaries() {
-        threaded.seek(&mut threaded_m, boundary).expect("in range");
-        stepped.seek(&mut stepped_m, boundary).expect("in range");
+    let rec = Recording::capture(&mut recorded, 4, &events);
+    let (mut stepped, _fw) = mpk_machine();
+    stepped.set_event_schedule(EventSchedule::new(events));
+    for boundary in 0..=rec.boundaries() {
+        if boundary > 0 {
+            stepped.step().expect("a recorded boundary steps cleanly");
+        }
+        rec.seek(&mut recorded, boundary).expect("in range");
         assert_eq!(
-            observe(&threaded_m),
-            observe(&stepped_m),
-            "engines diverged at boundary {boundary}"
+            observe(&recorded),
+            observe(&stepped),
+            "run and step diverged at boundary {boundary}"
         );
     }
+    let end = match stepped.step() {
+        Ok(()) => RunOutcome::Exited(stepped.exit_code().expect("halted at the last boundary")),
+        Err(t) => RunOutcome::Trapped(t),
+    };
+    assert_eq!(&end, rec.outcome());
 }
 
 #[test]

@@ -217,14 +217,12 @@ properties! {
 
         // Warm machine: compiled engine with inline caches live.
         let (mut warm, fw) = mpk_machine_with(MachineConfig {
-            threaded: true,
             inline_cache: true,
             ..MachineConfig::default()
         });
         assert!(warm.run_until(at).is_ok());
         // Cold oracle: the escape hatch (`MSENTRY_NO_INLINE_CACHE=1`).
         let (mut cold, _fw) = mpk_machine_with(MachineConfig {
-            threaded: true,
             inline_cache: false,
             ..MachineConfig::default()
         });

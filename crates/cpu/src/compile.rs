@@ -2,14 +2,15 @@
 //!
 //! `decode` lowers every function body to a flat stream of single-form
 //! [`COp`]s. This stage compiles every basic-block *entry point* into a
-//! [`CompiledRun`]: the block's ops from the entry to the terminator,
-//! with the dominant consecutive op pairs of the workload profiles fused
-//! into single-dispatch superinstructions. `Machine::exec_chain` drives
+//! run: the block's ops from the entry to the terminator, with the
+//! dominant consecutive op pairs of the workload profiles fused into
+//! single-dispatch superinstructions, stored back to back per function
+//! in a [`CompiledFunction`]. `Machine::exec_chain` drives
 //! compiled runs back to back; an entry in the middle of a block (a
 //! replay seek, a `sigreturn`, `call_function`) or a block the horizon
 //! cuts short runs the block's single-form ops straight from the decoded
 //! stream, and `Machine::step` retires one of them at a time. All of
-//! them go through one function, `Machine::exec`, so every op's
+//! them go through one function, `Machine::exec_ops`, so every op's
 //! semantics and charges are written once: a fused arm runs its two
 //! halves' bodies back to back.
 //!
@@ -76,9 +77,10 @@ use crate::trap::Trap;
 /// forms exist only inside compiled runs.
 ///
 /// A hot op's `cost` is the index of its static charge in the machine's
-/// interned [`Charges`] table: hot charges depend only on the op kind, so
-/// one byte names them and an op fits in three words. The cold ops carry
-/// their charge itself (AES and key-staging charges scale with operands).
+/// interned [`Charges`](crate::decode::Charges) table: hot charges depend
+/// only on the op kind, so one byte names them and an op fits in three
+/// words. The cold ops carry their charge itself (AES and key-staging
+/// charges scale with operands).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum COp {
     /// `dst <- imm`.

@@ -488,6 +488,12 @@ impl Machine {
     /// no event is due and no preemption is in flight before `horizon`,
     /// and that `horizon <= fuel`.
     fn run_blocks(&mut self, horizon: u64) -> Result<(), Trap> {
+        // A one-instruction horizon (a recording's boundary-by-boundary
+        // capture) retires through `step`'s single-op entry, which skips
+        // the chain's set-up.
+        if horizon - self.stats.instructions == 1 {
+            return self.exec_one();
+        }
         // The decoded and compiled code are immutable during execution but
         // the borrow checker cannot see that through `&mut self`; park
         // them locally for the duration of the batch. `exec_chain` never

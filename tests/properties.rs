@@ -490,8 +490,8 @@ properties! {
     /// random event schedules, and every address-based instrumentation
     /// flavour (whose mask/bound sequences exercise the fused
     /// superinstruction arms), a whole `run` (fused runs chained back to
-    /// back), `run_until` with a one-instruction horizon at every
-    /// boundary (every block entered mid-way and cut short), and the
+    /// back), `run_until` with a two-instruction horizon at every other
+    /// boundary (blocks entered mid-way and cut short), and the
     /// per-instruction stepper finish with identical outcomes, `Stats`,
     /// cycle bits, and full machine-state digests.
     #[test]
@@ -576,7 +576,7 @@ properties! {
         let mut cut = machine();
         let horizons = loop {
             let n = cut.stats().instructions;
-            match cut.run_until(n + 1) {
+            match cut.run_until(n + 2) {
                 Ok(()) => {
                     if let Some(code) = cut.exit_code() {
                         break RunOutcome::Exited(code);

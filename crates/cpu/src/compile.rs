@@ -1468,13 +1468,13 @@ impl Machine {
         let mut c = self.chain();
         loop {
             let budget = horizon - c.retired();
-            if budget == 0 {
-                self.settle(c);
-                return Ok(());
-            }
             let ops = match compiled.get(c.func.0 as usize).and_then(|cf| cf.run(c.idx)) {
                 Some((ops, n_insts)) if u64::from(n_insts) <= budget => ops,
                 _ => {
+                    if budget == 0 {
+                        self.settle(c);
+                        return Ok(());
+                    }
                     let start = c.idx as usize;
                     let Some(f) = code.get(c.func.0 as usize).filter(|f| start < f.ops.len())
                     else {

@@ -396,6 +396,13 @@ impl EventSchedule {
         }
     }
 
+    /// Each stream's `(firings, next due boundary)` in installation order:
+    /// the cursor state [`Self::digest_streams_into`] feeds, for
+    /// [`crate::Machine::diff`].
+    pub(crate) fn cursors(&self) -> impl ExactSizeIterator<Item = (u64, Option<u64>)> + '_ {
+        self.streams.iter().map(|s| (s.fired, s.next))
+    }
+
     /// Folds the stream cursors into `d` — the stream state is mutable
     /// machine state, so it is part of [`crate::Machine::state_digest`].
     /// A schedule with no streams contributes exactly what an absent

@@ -20,7 +20,8 @@
 
 use memsentry_aes::{Block, RegionCipher};
 use memsentry_ir::{AluOp, CodeAddr, FuncId, Program, Reg};
-use memsentry_mmu::{AddressSpace, PageFlags, Prot, TransCacheEntry, VirtAddr};
+use memsentry_mmu::diff::{same, same_opt};
+use memsentry_mmu::{AddressSpace, Divergence, PageFlags, Prot, TransCacheEntry, VirtAddr};
 
 use crate::compile::{compile_program, COp, CompiledFunction};
 use crate::cost::CostModel;
@@ -1291,6 +1292,163 @@ impl Machine {
         }
         self.space.digest_into(&mut d);
         d.finish()
+    }
+
+    /// Compares the machine with `other` component by component and
+    /// names the first that differs — `rbx`, `stats.cycles`, `thread 1
+    /// pc`, `stream 2 cursor`, `frame 0x1c3 +0x18`, `L2 set 0x2a ways`,
+    /// `TLB slot 17 pte`, `EPT 1 gpfn 0x40 hpfn` — or returns `None` when
+    /// the two are observationally identical. It covers exactly what
+    /// [`Self::state_digest`] covers, in its order, and ignores what the
+    /// digest ignores (inline caches, the translation memo, the cache's
+    /// same-line memo, hit telemetry, frame and chunk sharing), so
+    /// `a.diff(b).is_none()` holds exactly when the digests are equal,
+    /// short of a hash collision. The heaps are compared by their
+    /// [`HeapPolicy::digest_into`] streams.
+    ///
+    /// Nothing is hashed but the heap policy: frames and cache chunks
+    /// the two machines share copy-on-write (both restored from one
+    /// recording, say) are equal unread, so the comparison costs what
+    /// the two wrote since, not the size of the machine.
+    pub fn diff(&self, other: &Machine) -> Option<Divergence> {
+        self.compare(other).err()
+    }
+
+    fn compare(&self, other: &Machine) -> Result<(), Divergence> {
+        for r in Reg::ALL {
+            same(r, self.regs[r.index()], other.regs[r.index()])?;
+        }
+        for (i, (a, b)) in self.bnd.iter().zip(&other.bnd).enumerate() {
+            same(format_args!("bnd{i} lower"), a.0, b.0)?;
+            same(format_args!("bnd{i} upper"), a.1, b.1)?;
+        }
+        same("pc", self.pc.encode(), other.pc.encode())?;
+        let (s, o) = (&self.stats, &other.stats);
+        for (name, a, b) in [
+            ("instructions", s.instructions, o.instructions),
+            ("loads", s.loads, o.loads),
+            ("stores", s.stores, o.stores),
+            ("calls", s.calls, o.calls),
+            ("indirect_calls", s.indirect_calls, o.indirect_calls),
+            ("rets", s.rets, o.rets),
+            ("syscalls", s.syscalls, o.syscalls),
+            ("vmcalls", s.vmcalls, o.vmcalls),
+            ("vmfuncs", s.vmfuncs, o.vmfuncs),
+            ("wrpkrus", s.wrpkrus, o.wrpkrus),
+            ("bound_checks", s.bound_checks, o.bound_checks),
+            ("aes_chunks", s.aes_chunks, o.aes_chunks),
+            ("allocator_calls", s.allocator_calls, o.allocator_calls),
+            ("sgx_transitions", s.sgx_transitions, o.sgx_transitions),
+            ("signals", s.signals, o.signals),
+            ("preemptions", s.preemptions, o.preemptions),
+            ("dropped_events", s.dropped_events, o.dropped_events),
+            ("cycles", s.cycles.to_bits(), o.cycles.to_bits()),
+        ] {
+            same(format_args!("stats.{name}"), a, b)?;
+        }
+        same_opt("halted", self.halted, other.halted)?;
+        for (name, a, b) in [
+            ("in_vm", self.in_vm, other.in_vm),
+            ("keys_in_xmm", self.keys_in_xmm, other.keys_in_xmm),
+            ("in_enclave", self.in_enclave, other.in_enclave),
+            (
+                "syscall_passthrough",
+                self.syscall_passthrough,
+                other.syscall_passthrough,
+            ),
+            ("cipher", self.cipher.is_some(), other.cipher.is_some()),
+        ] {
+            same(name, a as u64, b as u64)?;
+        }
+        let masked = |m: &Machine| m.last_masked.map(|r| r.index() as u64);
+        same_opt("last_masked", masked(self), masked(other))?;
+        same("epc", self.epc.is_some() as u64, other.epc.is_some() as u64)?;
+        if let (Some(a), Some(b)) = (self.epc, other.epc) {
+            same("epc lower", a.0, b.0)?;
+            same("epc upper", a.1, b.1)?;
+        }
+        same(
+            "forced_alloc_failures",
+            self.forced_alloc_failures,
+            other.forced_alloc_failures,
+        )?;
+        same(
+            "threads",
+            self.threads.len() as u64,
+            other.threads.len() as u64,
+        )?;
+        for (t, (a, b)) in self.threads.iter().zip(&other.threads).enumerate() {
+            for r in Reg::ALL {
+                same(
+                    format_args!("thread {t} {r}"),
+                    a.regs[r.index()],
+                    b.regs[r.index()],
+                )?;
+            }
+            same(format_args!("thread {t} pc"), a.pc.encode(), b.pc.encode())?;
+            same(
+                format_args!("thread {t} pkru"),
+                a.pkru.0.into(),
+                b.pkru.0.into(),
+            )?;
+            same_opt(format_args!("thread {t} halted"), a.halted, b.halted)?;
+            same(
+                format_args!("thread {t} stack_base"),
+                a.stack_base,
+                b.stack_base,
+            )?;
+            same(
+                format_args!("thread {t} pending_signals"),
+                a.pending_signals,
+                b.pending_signals,
+            )?;
+        }
+        same(
+            "active_thread",
+            self.active_thread as u64,
+            other.active_thread as u64,
+        )?;
+        same(
+            "signal_depth",
+            self.signal_depth() as u64,
+            other.signal_depth() as u64,
+        )?;
+        same(
+            "pending_events",
+            self.pending_events() as u64,
+            other.pending_events() as u64,
+        )?;
+        // An absent schedule compares like one without streams, as it
+        // digests.
+        let streams = |m: &Machine| m.events.as_ref().map_or(0, |s| s.cursors().len() as u64);
+        same("streams", streams(self), streams(other))?;
+        if let (Some(a), Some(b)) = (&self.events, &other.events) {
+            for (i, (a, b)) in a.cursors().zip(b.cursors()).enumerate() {
+                same(format_args!("stream {i} fired"), a.0, b.0)?;
+                same_opt(format_args!("stream {i} cursor"), a.1, b.1)?;
+            }
+        }
+        same(
+            "preemption",
+            self.preempt_active() as u64,
+            other.preempt_active() as u64,
+        )?;
+        let heap = |m: &Machine| {
+            m.heap.as_ref().map(|h| {
+                let mut d = memsentry_mmu::Digest::new();
+                h.digest_into(&mut d);
+                d.finish()
+            })
+        };
+        let (a, b) = (heap(self), heap(other));
+        same("heap", a.is_some() as u64, b.is_some() as u64)?;
+        if let (Some(a), Some(b)) = (a, b) {
+            same("heap digest", a, b)?;
+        }
+        match self.space.diff(&other.space) {
+            Some(d) => Err(d),
+            None => Ok(()),
+        }
     }
 }
 
@@ -2840,5 +2998,271 @@ mod tests {
         m.run_until(3).unwrap();
         m.run_until(2).unwrap();
         assert_eq!(m.stats, stats);
+    }
+
+    use crate::events::StreamSource;
+    use memsentry_mmu::PAGE_SIZE;
+
+    /// Both state-equality oracles at once: `diff`'s verdict, which must
+    /// agree with digest equality in both directions.
+    fn verdict(a: &Machine, b: &Machine) -> Option<Divergence> {
+        let d = a.diff(b);
+        assert_eq!(d.is_none(), a.state_digest() == b.state_digest(), "{d:?}");
+        assert_eq!(d.is_none(), b.diff(a).is_none(), "{d:?}");
+        d
+    }
+
+    /// A machine with every component `state_digest` covers in use: a
+    /// spawned thread, a heap, an EPC range, a one-shot event and three
+    /// streams (one exhausted, one compound), a few instructions retired.
+    fn busy_machine(config: MachineConfig) -> Machine {
+        let mut p = Program::new();
+        let mut main = FunctionBuilder::new("main");
+        main.push(Inst::MovImm {
+            dst: Reg::Rbx,
+            imm: 0x7000,
+        });
+        for offset in 0..6 {
+            main.push(Inst::Store {
+                src: Reg::Rbx,
+                addr: Reg::Rbx,
+                offset: offset * 8,
+            });
+        }
+        main.push(Inst::Halt);
+        p.add_function(main.finish());
+        let mut side = FunctionBuilder::new("side");
+        side.push(Inst::Halt);
+        p.add_function(side.finish());
+        let mut m = Machine::with_config(p, config);
+        m.space
+            .map_region(VirtAddr(0x7000), PAGE_SIZE, PageFlags::rw());
+        m.spawn_thread(FuncId(1), [1, 2, 3]);
+        m.set_epc_range(0x9000, PAGE_SIZE);
+        let mut schedule = EventSchedule::at(100, EventAction::Signal);
+        for source in [
+            StreamSource::Every {
+                period: 5,
+                phase: 50,
+                limit: None,
+                action: EventAction::Signal,
+            },
+            StreamSource::After {
+                trigger: TriggerKind::Signal,
+                delay: 1,
+                action: EventAction::Signal,
+            },
+            StreamSource::Every {
+                period: 5,
+                phase: 50,
+                limit: Some(0),
+                action: EventAction::Signal,
+            },
+        ] {
+            schedule.add_stream(source);
+        }
+        m.set_event_schedule(schedule);
+        m.run_until(4).unwrap();
+        m
+    }
+
+    type Mutation = Box<dyn Fn(&mut Machine)>;
+
+    /// One mutation per component `state_digest` covers, with the name
+    /// `diff` must give it (a prefix where the name depends on layout).
+    fn mutation_table() -> Vec<(String, Mutation)> {
+        let mut rows: Vec<(String, Mutation)> = Vec::new();
+        let mut row = |name: &str, f: Mutation| rows.push((name.to_string(), f));
+        for r in Reg::ALL {
+            row(&r.to_string(), Box::new(move |m| m.regs[r.index()] ^= 1));
+            row(
+                &format!("thread 1 {r}"),
+                Box::new(move |m| m.threads[1].regs[r.index()] ^= 1),
+            );
+        }
+        for i in 0..4 {
+            row(&format!("bnd{i} lower"), Box::new(move |m| m.bnd[i].0 += 1));
+            row(&format!("bnd{i} upper"), Box::new(move |m| m.bnd[i].1 -= 1));
+        }
+        row("pc", Box::new(|m| m.pc.index += 1));
+        type Counter = (&'static str, fn(&mut ExecStats));
+        let counters: [Counter; 18] = [
+            ("instructions", |s| s.instructions += 1),
+            ("loads", |s| s.loads += 1),
+            ("stores", |s| s.stores += 1),
+            ("calls", |s| s.calls += 1),
+            ("indirect_calls", |s| s.indirect_calls += 1),
+            ("rets", |s| s.rets += 1),
+            ("syscalls", |s| s.syscalls += 1),
+            ("vmcalls", |s| s.vmcalls += 1),
+            ("vmfuncs", |s| s.vmfuncs += 1),
+            ("wrpkrus", |s| s.wrpkrus += 1),
+            ("bound_checks", |s| s.bound_checks += 1),
+            ("aes_chunks", |s| s.aes_chunks += 1),
+            ("allocator_calls", |s| s.allocator_calls += 1),
+            ("sgx_transitions", |s| s.sgx_transitions += 1),
+            ("signals", |s| s.signals += 1),
+            ("preemptions", |s| s.preemptions += 1),
+            ("dropped_events", |s| s.dropped_events += 1),
+            ("cycles", |s| s.cycles += 1.0),
+        ];
+        for (name, bump) in counters {
+            row(
+                &format!("stats.{name}"),
+                Box::new(move |m| bump(&mut m.stats)),
+            );
+        }
+        row("halted", Box::new(|m| m.halted = Some(0)));
+        row("in_vm", Box::new(|m| m.in_vm = true));
+        row("keys_in_xmm", Box::new(|m| m.keys_in_xmm = true));
+        row("in_enclave", Box::new(|m| m.in_enclave = true));
+        row(
+            "syscall_passthrough",
+            Box::new(|m| m.syscall_passthrough = true),
+        );
+        row("cipher", Box::new(|m| m.install_aes_key(&[7; 16])));
+        row("last_masked", Box::new(|m| m.last_masked = Some(Reg::R9)));
+        row("epc", Box::new(|m| m.epc = None));
+        row("epc lower", Box::new(|m| m.set_epc_range(0x8000, 0x2000)));
+        row("epc upper", Box::new(|m| m.set_epc_range(0x9000, 0x2000)));
+        row(
+            "forced_alloc_failures",
+            Box::new(|m| m.forced_alloc_failures += 1),
+        );
+        row(
+            "threads",
+            Box::new(|m| m.threads.push(m.threads[1].clone())),
+        );
+        row("thread 1 pc", Box::new(|m| m.threads[1].pc.index += 1));
+        row("thread 1 pkru", Box::new(|m| m.threads[1].pkru.0 ^= 4));
+        row(
+            "thread 1 halted",
+            Box::new(|m| m.threads[1].halted = Some(3)),
+        );
+        row(
+            "thread 1 stack_base",
+            Box::new(|m| m.threads[1].stack_base += 4096),
+        );
+        row(
+            "thread 1 pending_signals",
+            Box::new(|m| m.threads[1].pending_signals += 1),
+        );
+        row("active_thread", Box::new(|m| m.active_thread = 1));
+        row(
+            "signal_depth",
+            Box::new(|m| {
+                m.signal_frames.push(SignalFrame {
+                    regs: m.regs,
+                    bnd: m.bnd,
+                    pc: m.pc,
+                    last_masked: None,
+                    saved: None,
+                })
+            }),
+        );
+        row(
+            "pending_events",
+            Box::new(|m| {
+                m.events.as_mut().unwrap().pop_due(100);
+            }),
+        );
+        row(
+            "streams",
+            Box::new(|m| {
+                m.events.as_mut().unwrap().add_stream(StreamSource::Every {
+                    period: 1,
+                    phase: 0,
+                    limit: Some(0),
+                    action: EventAction::Signal,
+                })
+            }),
+        );
+        row(
+            "stream 0 fired",
+            Box::new(|m| {
+                m.events.as_mut().unwrap().pop_due(50);
+            }),
+        );
+        row(
+            "stream 1 cursor",
+            Box::new(|m| {
+                m.events
+                    .as_mut()
+                    .unwrap()
+                    .note_delivery(TriggerKind::Signal, 60)
+            }),
+        );
+        row(
+            "preemption",
+            Box::new(|m| {
+                m.preempt = Some(PreemptState {
+                    resume: 0,
+                    remaining: 3,
+                    saved: None,
+                })
+            }),
+        );
+        row("heap", Box::new(|m| m.heap = None));
+        row(
+            "heap digest",
+            Box::new(|m| {
+                let heap = m.heap.as_mut().unwrap();
+                heap.alloc(&mut m.space, 16).unwrap();
+            }),
+        );
+        row(
+            "frame ",
+            Box::new(|m| assert!(m.space.poke(VirtAddr(0x7100), &[1]))),
+        );
+        row("pkru", Box::new(|m| m.space.pkru.0 ^= 4));
+        rows
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        let base = busy_machine(MachineConfig::default());
+        assert_eq!(
+            verdict(&busy_machine(MachineConfig::default()), &base),
+            None
+        );
+        for (component, mutate) in mutation_table() {
+            let mut mutated = busy_machine(MachineConfig::default());
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).unwrap_or_else(|| panic!("{component}"));
+            assert!(d.component.starts_with(&component), "{component}: {d}");
+        }
+    }
+
+    #[test]
+    fn memo_state_and_sharing_never_count() {
+        let base = busy_machine(MachineConfig::default());
+        // Cold inline caches: a machine built without them takes the full
+        // translation path for every access.
+        let cold = busy_machine(MachineConfig {
+            inline_cache: false,
+            ..MachineConfig::default()
+        });
+        assert_eq!(verdict(&cold, &base), None);
+        // A restore from the machine's own snapshot clears the cache's
+        // same-line memo and orphans the inline caches; frames and
+        // chunks end up shared with the snapshot.
+        let mut rewound = busy_machine(MachineConfig::default());
+        let schedule = rewound.event_schedule().cloned().unwrap();
+        let snap = rewound.snapshot();
+        rewound.restore(&snap);
+        rewound.set_event_schedule(schedule);
+        assert_eq!(verdict(&rewound, &base), None);
+        // Frames copied by writes of the bytes they already held.
+        let mut copied = busy_machine(MachineConfig::default());
+        let _keep = copied.snapshot();
+        assert!(copied
+            .space
+            .poke(VirtAddr(0x7000), &0x7000u64.to_le_bytes()));
+        assert_eq!(verdict(&copied, &base), None);
+        // Runs that stay equal stay equal.
+        let (mut a, mut b) = (cold, busy_machine(MachineConfig::default()));
+        a.run_until(7).unwrap();
+        b.run_until(7).unwrap();
+        assert_eq!(verdict(&a, &b), None);
     }
 }

@@ -11,6 +11,7 @@
 
 use std::rc::Rc;
 
+use crate::diff::{same, Divergence};
 use crate::digest::Digest;
 
 /// Cache line size in bytes.
@@ -147,6 +148,40 @@ impl<const A: usize> Level<A> {
         }
     }
 
+    /// Compares what [`Self::digest_into`] feeds: the geometry, then every
+    /// set's live ways in MRU order. A chunk both sides share is equal
+    /// unread; tags past a set's live length are never looked at. `name`
+    /// (`L1`, `L2`, `L3`) prefixes the component a difference names.
+    fn compare(&self, other: &Self, name: &str) -> Result<(), Divergence> {
+        same(
+            format_args!("{name} sets"),
+            self.set_mask + 1,
+            other.set_mask + 1,
+        )?;
+        for (c, (a, b)) in self.chunks.iter().zip(other.chunks.iter()).enumerate() {
+            if Rc::ptr_eq(a, b) || (a.lens == b.lens && a.tags == b.tags) {
+                continue;
+            }
+            for s in 0..CHUNK_SETS {
+                let set = c * CHUNK_SETS + s;
+                let (la, lb) = (a.lens[s], b.lens[s]);
+                same(
+                    format_args!("{name} set {set:#x} ways"),
+                    u64::from(la),
+                    u64::from(lb),
+                )?;
+                for way in 0..la as usize {
+                    same(
+                        format_args!("{name} set {set:#x} way {way}"),
+                        a.tags[s][way],
+                        b.tags[s][way],
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Rewinds `self` to `src` (any level of the same geometry) by
     /// re-pointing the chunks that are not already shared with it.
     fn restore_from(&mut self, src: &Self) {
@@ -249,6 +284,20 @@ impl CacheHierarchy {
         d.write_u64(self.stats.dram);
     }
 
+    /// Compares what [`Self::digest_into`] feeds, in its order: the three
+    /// levels' live set contents, then the hit counters. The same-line
+    /// memo is ignored, like the digest ignores it.
+    pub(crate) fn compare(&self, other: &CacheHierarchy) -> Result<(), Divergence> {
+        self.l1.compare(&other.l1, "L1")?;
+        self.l2.compare(&other.l2, "L2")?;
+        self.l3.compare(&other.l3, "L3")?;
+        let (a, b) = (self.stats, other.stats);
+        same("L1 hits", a.l1, b.l1)?;
+        same("L2 hits", a.l2, b.l2)?;
+        same("L3 hits", a.l3, b.l3)?;
+        same("DRAM accesses", a.dram, b.dram)
+    }
+
     /// Rewinds `self` to the state of `src`, which may be any hierarchy
     /// (typically an earlier or later clone of `self`): only the chunks
     /// not already shared with `src` are re-pointed, and nothing is
@@ -266,6 +315,7 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::Mutation;
     use crate::digest::tests::Serial;
 
     #[test]
@@ -527,5 +577,80 @@ mod tests {
         assert_eq!(s.l1 + s.l2 + s.l3 + s.dram, 200);
         assert_eq!(s.dram, 100);
         assert_eq!(s.l1, 100);
+    }
+
+    /// Both state-equality oracles at once: `compare`'s verdict, which
+    /// must agree with digest equality in both directions.
+    fn verdict(a: &CacheHierarchy, b: &CacheHierarchy) -> Option<Divergence> {
+        let d = a.compare(b).err();
+        assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
+        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        d
+    }
+
+    /// A hierarchy with every way of L1 set 5 live, several ways live in
+    /// sets 5 and 0x45 of L2 and 0x1045 of L3, and one line in L1 set 0x3f
+    /// and in the last set of L2 and L3.
+    fn warmed() -> CacheHierarchy {
+        let mut c = CacheHierarchy::new();
+        for way in 0..4u64 {
+            c.access((5 + way * 8192) * LINE);
+            c.access((0x1045 + way * 8192) * LINE);
+        }
+        c.access(0x1fff * LINE);
+        c
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        fn tag<const A: usize>(l: &mut Level<A>, set: usize, way: usize) -> &mut u64 {
+            &mut Rc::make_mut(&mut l.chunks[set / CHUNK_SETS]).tags[set % CHUNK_SETS][way]
+        }
+        fn len<const A: usize>(l: &mut Level<A>, set: usize) -> &mut u8 {
+            &mut Rc::make_mut(&mut l.chunks[set / CHUNK_SETS]).lens[set % CHUNK_SETS]
+        }
+        let rows: [Mutation<CacheHierarchy>; 12] = [
+            ("L1 sets", |c| c.l1.set_mask = 0x7f),
+            ("L1 set 0x5 way 2", |c| *tag(&mut c.l1, 5, 2) ^= 1),
+            ("L1 set 0x5 ways", |c| *len(&mut c.l1, 5) -= 1),
+            ("L1 set 0x3f ways", |c| *len(&mut c.l1, 0x3f) += 1),
+            ("L2 set 0x5 way 3", |c| *tag(&mut c.l2, 5, 3) ^= 1),
+            ("L2 set 0x45 ways", |c| *len(&mut c.l2, 0x45) -= 1),
+            ("L3 set 0x1045 way 0", |c| *tag(&mut c.l3, 0x1045, 0) ^= 1),
+            ("L3 set 0x1fff ways", |c| *len(&mut c.l3, 0x1fff) += 1),
+            ("L1 hits", |c| c.stats.l1 += 1),
+            ("L2 hits", |c| c.stats.l2 += 1),
+            ("L3 hits", |c| c.stats.l3 += 1),
+            ("DRAM accesses", |c| c.stats.dram += 1),
+        ];
+        let base = warmed();
+        for (component, mutate) in rows {
+            let mut mutated = base.clone();
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).expect(component);
+            assert_eq!(d.component, component);
+        }
+    }
+
+    #[test]
+    fn stale_tags_memo_and_copied_chunks_compare_equal() {
+        let base = warmed();
+        // Stale tags past a set's live length.
+        let mut stale = base.clone();
+        let chunk = Rc::make_mut(&mut stale.l1.chunks[0]);
+        chunk.tags[0x3f][3] = 0xdead;
+        chunk.tags[9][0] = 0xbeef;
+        assert_eq!(verdict(&stale, &base), None);
+        // Warm vs cold same-line memo.
+        let mut cold = base.clone();
+        cold.last_line = NO_LINE;
+        assert_ne!(base.last_line, NO_LINE);
+        assert_eq!(verdict(&cold, &base), None);
+        // A chunk copied without a change, and a hierarchy built apart.
+        let mut copied = base.clone();
+        Rc::make_mut(&mut copied.l3.chunks[0x41]);
+        assert!(!Rc::ptr_eq(&copied.l3.chunks[0x41], &base.l3.chunks[0x41]));
+        assert_eq!(verdict(&copied, &base), None);
+        assert_eq!(verdict(&warmed(), &base), None);
     }
 }

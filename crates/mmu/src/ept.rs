@@ -14,6 +14,8 @@
 
 use std::collections::HashMap;
 
+use crate::diff::{same, Divergence};
+
 /// Access attempted through the EPT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EptAccess {
@@ -116,6 +118,41 @@ impl Ept {
         }
     }
 
+    /// Compares what [`Self::digest_into`] feeds: the populated slots
+    /// and their mappings. A difference names EPT `index` and the lowest
+    /// gpfn whose slot differs: `populated` (present in the map at all),
+    /// `mapped` (a mapping rather than a denial), then the mapping's
+    /// fields.
+    fn compare(&self, other: &Ept, index: usize) -> Result<(), Divergence> {
+        if self.entries == other.entries {
+            return Ok(());
+        }
+        let mut gpfns: Vec<u64> = self
+            .entries
+            .keys()
+            .chain(other.entries.keys())
+            .copied()
+            .collect();
+        gpfns.sort_unstable();
+        gpfns.dedup();
+        for gpfn in gpfns {
+            let slot = |name: &str, a: u64, b: u64| {
+                same(format_args!("EPT {index} gpfn {gpfn:#x} {name}"), a, b)
+            };
+            let (a, b) = (self.lookup(gpfn), other.lookup(gpfn));
+            slot("populated", a.is_some() as u64, b.is_some() as u64)?;
+            let (a, b) = (a.flatten(), b.flatten());
+            slot("mapped", a.is_some() as u64, b.is_some() as u64)?;
+            if let (Some(a), Some(b)) = (a, b) {
+                slot("hpfn", a.hpfn, b.hpfn)?;
+                slot("read", a.read as u64, b.read as u64)?;
+                slot("write", a.write as u64, b.write as u64)?;
+                slot("exec", a.exec as u64, b.exec as u64)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Number of populated (or denied) slots.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -178,6 +215,23 @@ impl EptSet {
         d.write_u64(self.active as u64);
         d.write_u8(self.demand_fill as u8);
         d.write_u64(self.switches);
+    }
+
+    /// Compares what [`Self::digest_into`] feeds, in its order: the list
+    /// length, every table, the active pointer, the fill policy and the
+    /// switch counter.
+    pub(crate) fn compare(&self, other: &EptSet) -> Result<(), Divergence> {
+        same("EPT count", self.epts.len() as u64, other.epts.len() as u64)?;
+        for (i, (a, b)) in self.epts.iter().zip(&other.epts).enumerate() {
+            a.compare(b, i)?;
+        }
+        same("active EPT", self.active as u64, other.active as u64)?;
+        same(
+            "EPT demand fill",
+            self.demand_fill as u64,
+            other.demand_fill as u64,
+        )?;
+        same("EPT switches", self.switches, other.switches)
     }
 
     /// Number of `vmfunc` switches performed.
@@ -247,6 +301,7 @@ impl EptSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::Mutation;
 
     #[test]
     fn demand_fill_populates_identity() {
@@ -318,5 +373,95 @@ mod tests {
     #[should_panic(expected = "EPTP list size")]
     fn oversized_ept_list_panics() {
         EptSet::new(MAX_EPTS + 1, true);
+    }
+
+    fn digest(set: &EptSet) -> u64 {
+        let mut d = crate::digest::Digest::new();
+        set.digest_into(&mut d);
+        d.finish()
+    }
+
+    /// Both state-equality oracles at once: `compare`'s verdict, which
+    /// must agree with digest equality in both directions.
+    fn verdict(a: &EptSet, b: &EptSet) -> Option<Divergence> {
+        let d = a.compare(b).err();
+        assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
+        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        d
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        let mut base = EptSet::new(2, true);
+        for gpfn in [0x10, 0x40, 0x41] {
+            base.translate(gpfn, EptAccess::Read).unwrap();
+        }
+        base.mark_secret(0x40, 1);
+        base.vmfunc_switch(1);
+        let rows: [Mutation<EptSet>; 11] = [
+            ("EPT count", |s| s.epts.push(Ept::default())),
+            ("EPT 0 gpfn 0x7 populated", |s| {
+                s.epts[0].map(7, EptEntry::identity(7))
+            }),
+            ("EPT 0 gpfn 0x40 populated", |s| {
+                s.epts[0].entries.remove(&0x40);
+            }),
+            ("EPT 0 gpfn 0x40 mapped", |s| {
+                s.epts[0].map(0x40, EptEntry::identity(0x40))
+            }),
+            ("EPT 1 gpfn 0x40 mapped", |s| s.epts[1].deny(0x40)),
+            ("EPT 1 gpfn 0x40 hpfn", |s| {
+                s.epts[1].map(0x40, EptEntry::identity(0x41))
+            }),
+            ("EPT 1 gpfn 0x40 read", |s| {
+                s.epts[1]
+                    .entries
+                    .get_mut(&0x40)
+                    .unwrap()
+                    .as_mut()
+                    .unwrap()
+                    .read = false
+            }),
+            ("EPT 1 gpfn 0x40 write", |s| {
+                s.epts[1]
+                    .entries
+                    .get_mut(&0x40)
+                    .unwrap()
+                    .as_mut()
+                    .unwrap()
+                    .write = false
+            }),
+            ("EPT 1 gpfn 0x40 exec", |s| {
+                s.epts[1]
+                    .entries
+                    .get_mut(&0x40)
+                    .unwrap()
+                    .as_mut()
+                    .unwrap()
+                    .exec = false
+            }),
+            ("active EPT", |s| s.active = 0),
+            ("EPT switches", |s| s.switches += 1),
+        ];
+        for (component, mutate) in rows {
+            let mut mutated = base.clone();
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).expect(component);
+            assert_eq!(d.component, component);
+        }
+        let mut strict = base.clone();
+        strict.demand_fill = false;
+        assert_eq!(
+            verdict(&strict, &base).unwrap().component,
+            "EPT demand fill"
+        );
+        // Tables filled in another order hold the same mappings.
+        let mut reordered = EptSet::new(2, true);
+        for gpfn in [0x41, 0x40, 0x10] {
+            reordered.translate(gpfn, EptAccess::Read).unwrap();
+        }
+        reordered.mark_secret(0x40, 1);
+        reordered.vmfunc_switch(1);
+        assert_eq!(verdict(&reordered, &base), None);
     }
 }

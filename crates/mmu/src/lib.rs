@@ -28,11 +28,15 @@
 //!   its *semantic* state (never frame sharing or memo bookkeeping)
 //!   into a [`digest::Digest`], which the replay subsystem uses to assert
 //!   bit-equality between rewound and from-start machine states.
+//! * [`diff`] — the exact counterpart of the digest: two live states
+//!   compared component by component, the first difference named
+//!   ([`diff::Divergence`]), shared frames and cache chunks skipped.
 //!
 //! All checks return typed [`Fault`]s; nothing panics on a bad guest access.
 
 pub mod addr;
 pub mod cache;
+pub mod diff;
 pub mod digest;
 pub mod ept;
 pub mod phys;
@@ -44,6 +48,7 @@ pub mod walk;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE, SENSITIVE_BASE, VA_BITS};
 pub use cache::{CacheHierarchy, CacheStats, HitLevel};
+pub use diff::Divergence;
 pub use digest::Digest;
 pub use ept::{EptSet, EptViolation};
 pub use phys::PhysMemory;

@@ -19,6 +19,7 @@
 use std::rc::Rc;
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
+use crate::diff::{same, same_opt, Divergence};
 use crate::digest::Digest;
 
 /// One materialized 4 KiB frame, shared by every clone that has not
@@ -163,6 +164,38 @@ impl PhysMemory {
         }
     }
 
+    /// Compares what [`Self::digest_into`] feeds, in its order: frame
+    /// contents (an absent frame equals an all-zero one, and a frame both
+    /// sides share is equal unread), the allocator cursor and the frame
+    /// limit. A frame difference names the frame and the 8-byte word
+    /// holding the first differing byte.
+    pub(crate) fn compare(&self, other: &PhysMemory) -> Result<(), Divergence> {
+        static ZERO: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        for pfn in 0..self.frames.len().max(other.frames.len()) {
+            let a = self.frames.get(pfn).and_then(Option::as_ref);
+            let b = other.frames.get(pfn).and_then(Option::as_ref);
+            let (a, b) = match (a, b) {
+                (None, None) => continue,
+                (Some(a), Some(b)) if Rc::ptr_eq(a, b) => continue,
+                (a, b) => (a.map_or(&ZERO, |f| &**f), b.map_or(&ZERO, |f| &**f)),
+            };
+            if a != b {
+                let at = a
+                    .iter()
+                    .zip(b.iter())
+                    .position(|(x, y)| x != y)
+                    .unwrap_or(0)
+                    & !7;
+                let word = |f: &[u8; PAGE_SIZE as usize]| {
+                    u64::from_le_bytes(f[at..at + 8].try_into().expect("8-byte word"))
+                };
+                return same(format_args!("frame {pfn:#x} +{at:#x}"), word(a), word(b));
+            }
+        }
+        same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
+        same_opt("frame_limit", self.frame_limit, other.frame_limit)
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`, crossing frames as
     /// needed. Unmaterialized frames read as zeros and stay unmaterialized.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) {
@@ -238,6 +271,7 @@ fn is_zero(frame: &[u8; PAGE_SIZE as usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::Mutation;
 
     #[test]
     fn alloc_returns_distinct_zeroed_frames() {
@@ -546,5 +580,67 @@ mod tests {
         assert_eq!(pm.frame_count(), src.frame_count());
         assert_eq!(pm.next_free_pfn, src.next_free_pfn);
         assert_eq!(digest(&pm), digest(&src));
+    }
+
+    /// Both state-equality oracles at once: `compare`'s verdict, which
+    /// must agree with digest equality in both directions.
+    fn verdict(a: &PhysMemory, b: &PhysMemory) -> Option<Divergence> {
+        let d = a.compare(b).err();
+        assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
+        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        d
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        let mut base = PhysMemory::new();
+        base.alloc_frame();
+        base.write_u64(PhysAddr((1 << 12) + 0x18), 0x1234);
+        let rows: [Mutation<PhysMemory>; 5] = [
+            ("frame 0x1 +0x18", |pm| {
+                pm.write(PhysAddr((1 << 12) + 0x1b), &[9])
+            }),
+            // Materialized on one side only.
+            ("frame 0x7 +0xff8", |pm| {
+                pm.write(PhysAddr((7 << 12) + 0xfff), &[1])
+            }),
+            ("next_free_pfn", |pm| {
+                pm.alloc_frame();
+            }),
+            ("frame_limit", |pm| pm.set_frame_limit(Some(9))),
+            ("frame_limit value", |pm| pm.set_frame_limit(Some(9))),
+        ];
+        for (component, mutate) in rows {
+            let mut base = base.clone();
+            if component == "frame_limit value" {
+                base.set_frame_limit(Some(10));
+            }
+            let mut mutated = base.clone();
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).expect(component);
+            assert_eq!(d.component, component);
+        }
+    }
+
+    #[test]
+    fn absent_zero_and_copied_frames_compare_equal() {
+        // Absent vs materialized all-zero.
+        let mut a = PhysMemory::new();
+        a.alloc_frame();
+        let mut b = a.clone();
+        b.write(PhysAddr(1 << 12), &[0; 64]);
+        assert_eq!((a.frame_count(), b.frame_count()), (0, 1));
+        assert_eq!(verdict(&a, &b), None);
+        // A frame copied by a write of the bytes it already held.
+        let mut c = PhysMemory::new();
+        c.write_u64(PhysAddr(3 << 12), 5);
+        let mut d = c.clone();
+        d.write_u64(PhysAddr(3 << 12), 5);
+        assert!(!shares(&c, &d, 3));
+        assert_eq!(verdict(&c, &d), None);
+        // Memories built apart share nothing and still compare equal.
+        let mut e = PhysMemory::new();
+        e.write_u64(PhysAddr(3 << 12), 5);
+        assert_eq!(verdict(&c, &e), None);
     }
 }

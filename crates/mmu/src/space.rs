@@ -24,6 +24,7 @@
 
 use crate::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use crate::cache::{CacheHierarchy, CacheStats, HitLevel};
+use crate::diff::{same, Divergence};
 use crate::ept::{EptAccess, EptSet, EptViolation};
 use crate::phys::PhysMemory;
 use crate::pkey::Pkru;
@@ -866,6 +867,43 @@ impl AddressSpace {
         d.write_u64(self.mprotect_calls);
     }
 
+    /// Compares `self` with `other` component by component and names the
+    /// first that differs, or `None` when the two are observationally
+    /// identical. It covers exactly what [`Self::digest_into`] feeds, in
+    /// its order: physical memory (an absent frame equals an all-zero
+    /// one), the cache hierarchy's live ways and counters, the valid TLB
+    /// entries and TLB counters, the view roots, the active view, PKRU,
+    /// the EPTP list and the `mprotect` counter. Like the digest it
+    /// ignores the translation memo, the mutation generation and the
+    /// fast-path hit counters. Frames and cache chunks both spaces share
+    /// copy-on-write are equal without a look at their contents, so
+    /// comparing a space against one restored from a common snapshot
+    /// costs only what each wrote since.
+    pub fn diff(&self, other: &AddressSpace) -> Option<Divergence> {
+        self.compare(other).err()
+    }
+
+    fn compare(&self, other: &AddressSpace) -> Result<(), Divergence> {
+        self.pm.compare(&other.pm)?;
+        self.cache.compare(&other.cache)?;
+        self.tlb.compare(&other.tlb)?;
+        same("views", self.views.len() as u64, other.views.len() as u64)?;
+        for (i, (a, b)) in self.views.iter().zip(&other.views).enumerate() {
+            same(format_args!("view {i} root"), a.root().0, b.root().0)?;
+        }
+        same(
+            "active view",
+            self.active_view.into(),
+            other.active_view.into(),
+        )?;
+        same("pkru", self.pkru.0.into(), other.pkru.0.into())?;
+        match (&self.ept, &other.ept) {
+            (Some(a), Some(b)) => a.compare(b)?,
+            (a, b) => same("EPT set", a.is_some() as u64, b.is_some() as u64)?,
+        }
+        same("mprotect calls", self.mprotect_calls, other.mprotect_calls)
+    }
+
     // --- snapshot/restore support ------------------------------------------
 
     /// Rewinds `self` to the state of `src`, which may be any space —
@@ -1466,5 +1504,114 @@ mod tests {
         let mut s = AddressSpace::new();
         assert!(s.poke(VirtAddr(0x0dea_d000), &[]));
         assert!(s.peek(VirtAddr(0x0dea_d000), &mut []));
+    }
+
+    fn digest(s: &AddressSpace) -> u64 {
+        let mut d = crate::digest::Digest::new();
+        s.digest_into(&mut d);
+        d.finish()
+    }
+
+    /// Both state-equality oracles at once: `diff`'s verdict, which must
+    /// agree with digest equality in both directions.
+    fn verdict(a: &AddressSpace, b: &AddressSpace) -> Option<Divergence> {
+        let d = a.diff(b);
+        assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
+        assert_eq!(d.is_none(), b.diff(a).is_none(), "{d:?}");
+        d
+    }
+
+    /// A space with every digested component in use: two views, an EPT
+    /// set, a pkey-tagged page, warm caches, TLB and translation memo.
+    fn busy_space() -> AddressSpace {
+        let mut s = AddressSpace::new();
+        s.map_region(VirtAddr(0x1000), 2 * PAGE_SIZE, PageFlags::rw());
+        s.add_view();
+        s.install_ept(EptSet::new(2, true));
+        s.pkey_mprotect(VirtAddr(0x2000), PAGE_SIZE, 3);
+        s.write_u64(VirtAddr(0x1018), 0x1234).unwrap();
+        s.read_u64(VirtAddr(0x2000)).unwrap();
+        s.read_u64(VirtAddr(0x1018)).unwrap();
+        s
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        let base = busy_space();
+        let pfn = base.clone().gpfn_of(VirtAddr(0x1000)).unwrap();
+        let frame = format!("frame {pfn:#x} +0x20");
+        type Mutation = Box<dyn Fn(&mut AddressSpace)>;
+        // The component named, or the prefix of a name that depends on
+        // where a cache line or TLB slot falls.
+        let rows: Vec<(&str, Mutation)> = vec![
+            (
+                &frame,
+                Box::new(|s| assert!(s.poke(VirtAddr(0x1020), &[1]))),
+            ),
+            (
+                "next_free_pfn",
+                Box::new(|s| {
+                    s.pm.alloc_frame();
+                }),
+            ),
+            ("frame_limit", Box::new(|s| s.set_frame_limit(Some(999)))),
+            (
+                "L1 set ",
+                Box::new(|s| {
+                    s.cache.access(0x7_0000);
+                }),
+            ),
+            (
+                "L1 hits",
+                Box::new(move |s| {
+                    s.cache.access(pfn << 12);
+                }),
+            ),
+            ("TLB slot ", Box::new(|s| s.tlb.insert(0, 0x3f, Pte(0)))),
+            ("TLB hits", Box::new(|s| s.tlb.note_hit())),
+            ("views", Box::new(|s| s.views.push(s.views[0]))),
+            ("view 0 root", Box::new(|s| s.views.swap(0, 1))),
+            ("active view", Box::new(|s| s.active_view = 1)),
+            ("pkru", Box::new(|s| s.pkru = Pkru::deny_key(3))),
+            ("EPT set", Box::new(|s| s.ept = None)),
+            (
+                "EPT 0 gpfn 0x9 populated",
+                Box::new(|s| s.ept_mut().unwrap().mark_secret(9, 0)),
+            ),
+            (
+                "EPT switches",
+                Box::new(|s| {
+                    s.ept_mut().unwrap().vmfunc_switch(0);
+                }),
+            ),
+            ("mprotect calls", Box::new(|s| s.mprotect_calls += 1)),
+        ];
+        for (component, mutate) in rows {
+            let mut mutated = base.clone();
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).expect(component);
+            assert!(d.component.starts_with(component), "{component}: {d}");
+        }
+    }
+
+    #[test]
+    fn memo_state_and_sharing_compare_equal() {
+        let base = busy_space();
+        // Cold translation memo, moved generation and epoch, other
+        // fast-path counters.
+        let mut cold = base.clone();
+        assert!(cold.memo.iter().any(Option::is_some));
+        cold.memo = [None, None];
+        cold.gen += 7;
+        cold.ept_epoch += 1;
+        cold.ic_hits += 3;
+        cold.memo_hits += 5;
+        assert_eq!(verdict(&cold, &base), None);
+        // Rewound from a clone (shared frames and chunks), and built apart.
+        let mut rewound = busy_space();
+        rewound.write_u64(VirtAddr(0x1800), 9).unwrap();
+        rewound.restore_from(&base);
+        assert_eq!(verdict(&rewound, &base), None);
+        assert_eq!(verdict(&busy_space(), &base), None);
     }
 }

@@ -7,6 +7,7 @@
 //! using the PCID feature" alternative of paper §3.1). The TLB is modeled
 //! explicitly and its hit/miss counts feed the cycle cost model.
 
+use crate::diff::{same, Divergence};
 use crate::digest::Digest;
 use crate::pte::Pte;
 
@@ -147,6 +148,33 @@ impl Tlb {
         d.write_u64(self.stats.page_flushes);
     }
 
+    /// Compares what [`Self::digest_into`] feeds: which slots are valid,
+    /// each valid entry's tag and PTE (stale bits of invalid slots are
+    /// never looked at), then the statistics.
+    pub(crate) fn compare(&self, other: &Tlb) -> Result<(), Divergence> {
+        for (slot, (a, b)) in self.entries.iter().zip(&other.entries).enumerate() {
+            same(
+                format_args!("TLB slot {slot}"),
+                a.valid as u64,
+                b.valid as u64,
+            )?;
+            if a.valid {
+                same(
+                    format_args!("TLB slot {slot} pcid"),
+                    a.pcid.into(),
+                    b.pcid.into(),
+                )?;
+                same(format_args!("TLB slot {slot} vpn"), a.vpn, b.vpn)?;
+                same(format_args!("TLB slot {slot} pte"), a.pte.0, b.pte.0)?;
+            }
+        }
+        let (a, b) = (self.stats, other.stats);
+        same("TLB hits", a.hits, b.hits)?;
+        same("TLB misses", a.misses, b.misses)?;
+        same("TLB flushes", a.flushes, b.flushes)?;
+        same("TLB page flushes", a.page_flushes, b.page_flushes)
+    }
+
     /// Copies `src`'s entries and statistics into `self` without
     /// reallocating (both TLBs have the fixed [`TLB_ENTRIES`] geometry).
     /// The allocation-free counterpart of `*self = src.clone()`, used by
@@ -161,6 +189,7 @@ impl Tlb {
 mod tests {
     use super::*;
     use crate::addr::PhysAddr;
+    use crate::diff::Mutation;
     use crate::pte::PageFlags;
 
     fn pte() -> Pte {
@@ -256,5 +285,67 @@ mod tests {
             assert!(tlb.lookup(0, vpn).is_none());
         }
         assert_eq!(tlb.stats().flushes, 1);
+    }
+
+    fn digest(t: &Tlb) -> u64 {
+        let mut d = Digest::new();
+        t.digest_into(&mut d);
+        d.finish()
+    }
+
+    /// Both state-equality oracles at once: `compare`'s verdict, which
+    /// must agree with digest equality in both directions.
+    fn verdict(a: &Tlb, b: &Tlb) -> Option<Divergence> {
+        let d = a.compare(b).err();
+        assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
+        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        d
+    }
+
+    fn warmed() -> Tlb {
+        let mut tlb = Tlb::new();
+        tlb.insert(3, 17, pte());
+        tlb.insert(0, 18, pte());
+        tlb.flush_page(18);
+        tlb.lookup(3, 17);
+        tlb.lookup(0, 18);
+        tlb.flush_all();
+        tlb.insert(3, 17, pte());
+        tlb
+    }
+
+    #[test]
+    fn every_digested_component_is_compared_and_named() {
+        let rows: [Mutation<Tlb>; 8] = [
+            ("TLB slot 17", |t| t.entries[17].valid = false),
+            ("TLB slot 17 pcid", |t| t.entries[17].pcid = 4),
+            ("TLB slot 17 vpn", |t| {
+                t.entries[17].vpn += TLB_ENTRIES as u64
+            }),
+            ("TLB slot 17 pte", |t| t.entries[17].pte = Pte(0)),
+            ("TLB hits", |t| t.stats.hits += 1),
+            ("TLB misses", |t| t.stats.misses += 1),
+            ("TLB flushes", |t| t.stats.flushes += 1),
+            ("TLB page flushes", |t| t.stats.page_flushes += 1),
+        ];
+        let base = warmed();
+        for (component, mutate) in rows {
+            let mut mutated = base.clone();
+            mutate(&mut mutated);
+            let d = verdict(&mutated, &base).expect(component);
+            assert_eq!(d.component, component);
+        }
+    }
+
+    #[test]
+    fn stale_bits_of_invalid_slots_compare_equal() {
+        // Slot 18 was invalidated; its stale tag and PTE do not count.
+        let base = warmed();
+        let mut stale = base.clone();
+        assert!(!stale.entries[18].valid);
+        stale.entries[18].vpn = 99;
+        stale.entries[18].pte = Pte(0);
+        stale.entries[40].pcid = 7;
+        assert_eq!(verdict(&stale, &base), None);
     }
 }

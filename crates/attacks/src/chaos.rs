@@ -23,7 +23,10 @@
 //!    boundary, digest → snapshot → run on → restore reproduces the
 //!    digest bit-exactly (stream cursors included).
 //! 4. **Replay is storm-proof** — the recorded run crash-recovers
-//!    bit-exactly at every boundary ([`memsentry_cpu::crash_sweep`]).
+//!    bit-exactly at every boundary ([`memsentry_cpu::crash_sweep`]): a
+//!    second victim, built by the same [`storm_victim`] call, runs the
+//!    crash-free reference pass alongside, and each recovered machine is
+//!    compared with it live by [`memsentry_cpu::Machine::diff`].
 //!
 //! The storm victim differs from the sweep victim on purpose: its window
 //! re-opens every loop iteration, so a *broken* runtime survives exactly
@@ -217,9 +220,23 @@ fn build_storm_program(region_base: u64) -> Program {
     p
 }
 
-/// Builds the prepared storm victim: region mapped and protected, secret
-/// planted, mailbox mapped in every view, hostile reader spawned parked.
-fn build_storm_victim(technique: Technique) -> Result<(Machine, MemSentry, usize), CampaignError> {
+/// Builds the storm victim of one `(technique, mode, intensity, seed)`
+/// run, ready to record: region mapped and protected, secret planted,
+/// mailbox mapped in every view, hostile reader spawned parked, signal
+/// policy, domain closure and depth limit set, and the storm installed.
+/// [`run_storm`] builds it twice, once to record and once as the crash
+/// sweep's reference machine.
+///
+/// # Errors
+///
+/// [`CampaignError::Framework`] if the victim cannot be instrumented or
+/// prepared.
+pub fn storm_victim(
+    technique: Technique,
+    mode: HandlerMode,
+    intensity: StormIntensity,
+    seed: u64,
+) -> Result<Machine, CampaignError> {
     let fw = MemSentry::new(technique, 64);
     let mut program = build_storm_program(fw.layout().base);
     fw.instrument(&mut program, Application::ProgramData)?;
@@ -229,7 +246,15 @@ fn build_storm_victim(technique: Technique) -> Result<(Machine, MemSentry, usize
     fw.prepare_machine(&mut m)?;
     fw.write_region(&mut m, 0, &SECRET.to_le_bytes());
     let reader_tid = m.spawn_thread(funcs::READER, [0; 3]);
-    Ok((m, fw, reader_tid))
+    let scrub = mode == HandlerMode::Scrub;
+    m.set_signal_policy(SignalPolicy {
+        handler: funcs::HANDLER,
+        scrub,
+    });
+    m.set_domain_closure(fw.signal_closure());
+    m.set_signal_depth_limit(SIGNAL_DEPTH_LIMIT);
+    m.set_event_schedule(storm_schedule(intensity, seed, reader_tid, scrub));
+    Ok(m)
 }
 
 /// Boundaries the storm waits out before its first firing. The victim's
@@ -391,15 +416,7 @@ pub fn run_storm(
     intensity: StormIntensity,
     seed: u64,
 ) -> Result<StormRun, CampaignError> {
-    let (mut m, fw, reader_tid) = build_storm_victim(technique)?;
-    let scrub = mode == HandlerMode::Scrub;
-    m.set_signal_policy(SignalPolicy {
-        handler: funcs::HANDLER,
-        scrub,
-    });
-    m.set_domain_closure(fw.signal_closure());
-    m.set_signal_depth_limit(SIGNAL_DEPTH_LIMIT);
-    m.set_event_schedule(storm_schedule(intensity, seed, reader_tid, scrub));
+    let mut m = storm_victim(technique, mode, intensity, seed)?;
 
     // The storm run, recorded for the replay oracles. `&[]` keeps the
     // installed storm schedule live.
@@ -453,9 +470,11 @@ pub fn run_storm(
         break;
     }
 
-    // Oracle 4: crash-recover at every boundary of the storm recording.
-    let report =
-        crash_sweep(&rec, &mut m).map_err(|error| CampaignError::Replay { technique, error })?;
+    // Oracle 4: crash-recover at every boundary of the storm recording,
+    // against a second victim running the reference pass alongside.
+    let mut reference = storm_victim(technique, mode, intensity, seed)?;
+    let report = crash_sweep(&rec, &mut m, &mut reference)
+        .map_err(|error| CampaignError::Replay { technique, error })?;
     // Reference pass replays the run once; crash pass seeks everywhere.
     sim_instructions += boundaries;
     for b in 0..=boundaries {

@@ -24,7 +24,9 @@
 //! The [`replay`] module layers deterministic record-replay on top of
 //! [`machine::Machine::snapshot`]/`restore`: a captured [`replay::Recording`]
 //! rewinds the machine to any instruction boundary bit-exactly, and powers
-//! exposure bisection and the crash-consistency sweep.
+//! exposure bisection and the crash-consistency sweep, which compares each
+//! recovered machine against a live reference with
+//! [`machine::Machine::diff`].
 
 pub(crate) mod compile;
 pub mod cost;
@@ -49,6 +51,7 @@ pub use kernel::{DefaultKernel, HypercallHandler, SyscallHandler};
 pub use machine::{
     AccessTracer, Machine, MachineConfig, MachineSnapshot, RunOutcome, DEFAULT_SIGNAL_DEPTH_LIMIT,
 };
+pub use memsentry_mmu::Divergence;
 pub use opstats::{tally_run, OpKind, OpPairTally, PairCount};
 pub use replay::{
     bisect_first, crash_sweep, CrashSweepReport, CrashViolation, Recording, ReplayError,

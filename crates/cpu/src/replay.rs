@@ -34,6 +34,7 @@
 use crate::events::{Event, EventSchedule};
 use crate::machine::{Machine, MachineSnapshot, RunOutcome};
 use crate::trap::Trap;
+use memsentry_mmu::Divergence;
 
 /// Why a replay request could not be served.
 #[derive(Debug, Clone, PartialEq)]
@@ -349,15 +350,25 @@ pub fn bisect_first<E>(
 
 /// One boundary where crash recovery failed to reproduce the pre-crash
 /// machine state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashViolation {
     /// The boundary the crash was injected at.
     pub boundary: u64,
-    /// [`Machine::state_digest`] of the reference (never-crashed) run at
-    /// that boundary.
-    pub expected: u64,
-    /// Digest of the state recovered from the nearest checkpoint.
-    pub recovered: u64,
+    /// The first component where the machine recovered from the nearest
+    /// checkpoint (`left`) differs from the reference machine that never
+    /// crashed (`right`), as [`Machine::diff`] names it.
+    pub divergence: Divergence,
+}
+
+impl core::fmt::Display for CrashViolation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let d = &self.divergence;
+        write!(
+            f,
+            "boundary {}: {} recovered {:#x}, expected {:#x}",
+            self.boundary, d.component, d.left, d.right
+        )
+    }
 }
 
 /// Result of a [`crash_sweep`]: recovery checked at every boundary.
@@ -383,48 +394,57 @@ impl CrashSweepReport {
 /// simulate a crash — the live machine state is dropped on the floor —
 /// and recover by restarting from the nearest checkpoint and replaying
 /// the event schedule forward ([`Recording::seek`]). The recovered state
-/// must digest identically to a reference run that never crashed; any
-/// divergence is reported per boundary. This is the detectable-recovery
-/// discipline of persistent-memory crash testing applied to the snapshot
-/// stream: a checkpoint is only correct if *every* crash point between it
-/// and the next checkpoint recovers exactly.
+/// must equal that of a reference run that never crashed; any divergence
+/// is reported per boundary, naming the first component that differs.
+/// This is the detectable-recovery discipline of persistent-memory crash
+/// testing applied to the snapshot stream: a checkpoint is only correct
+/// if *every* crash point between it and the next checkpoint recovers
+/// exactly.
+///
+/// `m` is the machine the recording was captured from; `reference` is a
+/// second machine built and configured like it (same program, handlers,
+/// signal policy and fuel). The reference pass runs on `reference`
+/// continuously: one seek to boundary 0, then one `run_until` per
+/// boundary. At each boundary `m` recovers and the two live machines are
+/// compared with [`Machine::diff`], so nothing is digested and no
+/// per-boundary state is kept; the frames and cache chunks both machines
+/// still share with the recording's checkpoints are equal unread. The
+/// seek to boundary 0 rewinds `reference` to the recording's start, so
+/// only its configuration matters: one that differs from `m`'s runs
+/// differently and shows up as violations (or a
+/// [`ReplayError::Diverged`]), never as a pass.
 ///
 /// # Errors
 ///
 /// Propagates [`ReplayError::Diverged`] if replaying the recorded prefix
-/// itself traps (recovery violations are reported, not errors).
-pub fn crash_sweep(rec: &Recording, m: &mut Machine) -> Result<CrashSweepReport, ReplayError> {
-    let n = rec.boundaries();
-    // Reference pass: one continuous, crash-free run over the recording,
-    // digesting the machine at every boundary.
-    rec.seek(m, 0)?;
-    let mut expected = Vec::with_capacity(n as usize + 1);
-    expected.push(m.state_digest());
-    for b in 1..=n {
-        if let Err(trap) = m.run_until(rec.start() + b) {
-            return Err(ReplayError::Diverged {
-                at: m.stats().instructions,
-                trap,
-            });
-        }
-        expected.push(m.state_digest());
-    }
-    // Crash pass: recover at every boundary (in an order that exercises
-    // interleaved restores across different checkpoints) and compare.
+/// itself traps on either machine (recovery violations are reported,
+/// not errors).
+pub fn crash_sweep(
+    rec: &Recording,
+    m: &mut Machine,
+    reference: &mut Machine,
+) -> Result<CrashSweepReport, ReplayError> {
+    rec.seek(reference, 0)?;
     let mut violations = Vec::new();
-    for b in 0..=n {
+    for b in 0..=rec.boundaries() {
+        if b > 0 {
+            if let Err(trap) = reference.run_until(rec.start() + b) {
+                return Err(ReplayError::Diverged {
+                    at: reference.stats().instructions,
+                    trap,
+                });
+            }
+        }
         rec.seek(m, b)?;
-        let recovered = m.state_digest();
-        if recovered != expected[b as usize] {
+        if let Some(divergence) = m.diff(reference) {
             violations.push(CrashViolation {
                 boundary: b,
-                expected: expected[b as usize],
-                recovered,
+                divergence,
             });
         }
     }
     Ok(CrashSweepReport {
-        boundaries: n,
+        boundaries: rec.boundaries(),
         checkpoints: rec.checkpoint_count(),
         violations,
     })
@@ -725,7 +745,7 @@ mod tests {
     fn crash_sweep_is_consistent_on_a_clean_run() {
         let mut m = machine(30);
         let rec = Recording::capture(&mut m, 16, &[]);
-        let report = crash_sweep(&rec, &mut m).unwrap();
+        let report = crash_sweep(&rec, &mut m, &mut machine(30)).unwrap();
         assert!(report.is_consistent(), "{:?}", report.violations);
         assert_eq!(report.boundaries, rec.boundaries());
         assert_eq!(report.checkpoints, rec.checkpoint_count());
@@ -742,7 +762,46 @@ mod tests {
         }];
         let mut m = machine(30);
         let rec = Recording::capture(&mut m, 16, &events);
-        let report = crash_sweep(&rec, &mut m).unwrap();
+        let report = crash_sweep(&rec, &mut m, &mut machine(30)).unwrap();
         assert!(report.is_consistent(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn crash_sweep_names_what_a_tampered_checkpoint_changed() {
+        // A register, then a frame byte the program never touches: every
+        // boundary served by the tampered checkpoint must report exactly
+        // that component, and no other boundary may report anything.
+        let mut m = machine(30);
+        let pfn = m.space.gpfn_of(memsentry_mmu::VirtAddr(0x7000)).unwrap();
+        type Tamper = fn(&mut Machine);
+        let cases: [(Tamper, String, u64); 2] = [
+            (|m| m.set_reg(Reg::R13, 0x5a), "r13".into(), 0x5a),
+            (
+                |m| assert!(m.space.poke(memsentry_mmu::VirtAddr(0x7103), &[0x5a])),
+                format!("frame {pfn:#x} +0x100"),
+                0x5a << 24,
+            ),
+        ];
+        for (tamper, component, left) in cases {
+            let mut m = machine(30);
+            let mut rec = Recording::capture(&mut m, 16, &[]);
+            assert!(rec.checkpoint_count() > 3);
+            let (from, to) = (rec.checkpoints[2].0, rec.checkpoints[3].0);
+            m.restore(&rec.checkpoints[2].1);
+            tamper(&mut m);
+            rec.checkpoints[2].1 = m.snapshot();
+            let report = crash_sweep(&rec, &mut m, &mut machine(30)).unwrap();
+            let expected: Vec<CrashViolation> = (from..to)
+                .map(|boundary| CrashViolation {
+                    boundary,
+                    divergence: Divergence {
+                        component: component.clone(),
+                        left,
+                        right: 0,
+                    },
+                })
+                .collect();
+            assert_eq!(report.violations, expected, "{component}");
+        }
     }
 }

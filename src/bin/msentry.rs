@@ -71,9 +71,10 @@
 //!   [--crash-sweep]                          inject a crash at every boundary
 //!                                            (drop live state, recover from
 //!                                            the nearest checkpoint) and
-//!                                            assert the recovered state
-//!                                            digests equal to a crash-free
-//!                                            reference run
+//!                                            compare the recovered machine
+//!                                            with a crash-free reference
+//!                                            machine; a violation names the
+//!                                            first component that differs
 //! msentry check <file> [--address r|w|rw]    parse + verify + isolation
 //!                                            soundness analysis (domain
 //!                                            windows — interprocedural via
@@ -563,23 +564,12 @@ fn replay_cmd(args: &[String], mut program: Program, opts: &RunOptions) -> ExitC
         }
         None => None,
     };
-    let mut m = Machine::new(program);
-    if let Some(fw) = &framework {
-        if let Err(e) = fw.prepare_machine(&mut m) {
-            eprintln!("prepare failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        m.set_domain_closure(fw.signal_closure());
-    }
-    if let Some(fuel) = opts.fuel {
-        m.set_fuel(fuel);
-    }
-    if let Some(handler) = opts.handler {
-        m.set_signal_policy(SignalPolicy {
-            handler,
-            scrub: opts.scrub,
-        });
-    }
+    let bisect = args.iter().any(|a| a == "--bisect");
+    let build = || replay_machine(&program, framework.as_ref(), opts, bisect);
+    let mut m = match build() {
+        Ok(m) => m,
+        Err(code) => return code,
+    };
     let spacing = match flag(args, "--spacing") {
         Some(s) => match parse_u64(&s) {
             Ok(n) if n > 0 => n,
@@ -590,14 +580,6 @@ fn replay_cmd(args: &[String], mut program: Program, opts: &RunOptions) -> ExitC
         },
         None => 64,
     };
-    let bisect = args.iter().any(|a| a == "--bisect");
-    // --bisect records the *clean* run and injects per probe; the other
-    // modes bake the --inject schedule (one-shots and streams alike) into
-    // the recording itself — checkpoints carry the schedule cursors, so
-    // seeks land mid-storm bit-exactly.
-    if !bisect && !opts.specs.is_empty() {
-        m.set_event_schedule(EventSchedule::with_streams(opts.events(), opts.streams()));
-    }
     let rec = Recording::capture(&mut m, spacing, &[]);
     eprintln!(
         "recorded {} boundaries, {} checkpoint(s), spacing {spacing}",
@@ -613,7 +595,11 @@ fn replay_cmd(args: &[String], mut program: Program, opts: &RunOptions) -> ExitC
         RunOutcome::Trapped(t) => eprintln!("recorded run traps: {t}"),
     }
     if args.iter().any(|a| a == "--crash-sweep") {
-        return run_crash_sweep(&rec, &mut m);
+        // The reference machine, built exactly like the recorded one.
+        return match build() {
+            Ok(mut reference) => run_crash_sweep(&rec, &mut m, &mut reference),
+            Err(code) => code,
+        };
     }
     if bisect {
         return run_bisect(args, &rec, &mut m, opts);
@@ -639,6 +625,42 @@ fn replay_cmd(args: &[String], mut program: Program, opts: &RunOptions) -> ExitC
             ExitCode::FAILURE
         }
     }
+}
+
+/// Builds and configures the machine `replay` records: prepared under the
+/// framework (if any), with its fuel, signal policy and — except under
+/// `--bisect`, which records the *clean* run and injects per probe — the
+/// `--inject` schedule (one-shots and streams alike) baked into the
+/// recording; checkpoints carry the schedule cursors, so seeks land
+/// mid-storm bit-exactly. `--crash-sweep` calls it twice: once for the
+/// recorded machine, once for the reference.
+fn replay_machine(
+    program: &Program,
+    framework: Option<&MemSentry>,
+    opts: &RunOptions,
+    bisect: bool,
+) -> Result<Machine, ExitCode> {
+    let mut m = Machine::new(program.clone());
+    if let Some(fw) = framework {
+        if let Err(e) = fw.prepare_machine(&mut m) {
+            eprintln!("prepare failed: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+        m.set_domain_closure(fw.signal_closure());
+    }
+    if let Some(fuel) = opts.fuel {
+        m.set_fuel(fuel);
+    }
+    if let Some(handler) = opts.handler {
+        m.set_signal_policy(SignalPolicy {
+            handler,
+            scrub: opts.scrub,
+        });
+    }
+    if !bisect && !opts.specs.is_empty() {
+        m.set_event_schedule(EventSchedule::with_streams(opts.events(), opts.streams()));
+    }
+    Ok(m)
 }
 
 /// Prints architectural state, domain-window status and stats of the
@@ -695,9 +717,10 @@ fn print_state(m: &Machine, rec: &Recording, at: u64) {
     println!("state digest {:#018x}", m.state_digest());
 }
 
-/// Drives the crash-consistency sweep and renders the report.
-fn run_crash_sweep(rec: &Recording, m: &mut Machine) -> ExitCode {
-    match crash_sweep(rec, m) {
+/// Drives the crash-consistency sweep and renders the report: one line
+/// per violating boundary, naming the first component that differs.
+fn run_crash_sweep(rec: &Recording, m: &mut Machine, reference: &mut Machine) -> ExitCode {
+    match crash_sweep(rec, m, reference) {
         Ok(report) if report.is_consistent() => {
             println!(
                 "crash sweep: {} boundaries, {} checkpoint(s), every recovery bit-exact",
@@ -707,10 +730,7 @@ fn run_crash_sweep(rec: &Recording, m: &mut Machine) -> ExitCode {
         }
         Ok(report) => {
             for v in &report.violations {
-                println!(
-                    "boundary {}: recovered {:#018x}, expected {:#018x}",
-                    v.boundary, v.recovered, v.expected
-                );
+                println!("{v}");
             }
             eprintln!(
                 "crash sweep: {} recovery violation(s)",

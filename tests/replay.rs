@@ -17,7 +17,13 @@
 //!   clean past-the-end error after its last boundary.
 //! * **Crash consistency**: restarting from the nearest checkpoint at
 //!   every boundary recovers the reference state bit-exactly.
+//! * **Two independent oracles**: at every boundary of every listing and
+//!   of a storm victim per windowed technique, `Machine::diff` against a
+//!   live reference machine finds nothing exactly when the state digests
+//!   are equal.
 
+use memsentry_repro::attacks::chaos::storm_victim;
+use memsentry_repro::attacks::{HandlerMode, StormIntensity, WINDOWED_TECHNIQUES};
 use memsentry_repro::cpu::{
     crash_sweep, EventAction, EventSchedule, Machine, MachineConfig, Recording, ReplayError,
     RunOutcome, Trap,
@@ -239,9 +245,9 @@ fn crash_sweep_recovers_every_golden_boundary_bit_exactly() {
     // hostile write: dropping the live machine at any boundary and
     // restarting from the nearest checkpoint must recover exactly.
     let program = listing("shadow_demo.ms");
-    let mut m = Machine::new(program);
+    let mut m = Machine::new(program.clone());
     let rec = Recording::capture(&mut m, 4, &[]);
-    let report = crash_sweep(&rec, &mut m).expect("sweep completes");
+    let report = crash_sweep(&rec, &mut m, &mut Machine::new(program)).expect("sweep completes");
     assert!(report.is_consistent(), "{:?}", report.violations);
 
     let (mut m, fw) = mpk_machine();
@@ -253,7 +259,69 @@ fn crash_sweep_recovers_every_golden_boundary_bit_exactly() {
         },
     }];
     let rec = Recording::capture(&mut m, 4, &events);
-    let report = crash_sweep(&rec, &mut m).expect("sweep completes");
+    let report = crash_sweep(&rec, &mut m, &mut mpk_machine().0).expect("sweep completes");
     assert!(report.is_consistent(), "{:?}", report.violations);
     assert_eq!(report.boundaries, rec.boundaries());
+}
+
+/// Walks every boundary of `rec` the way `crash_sweep` does — `reference`
+/// runs the recording continuously, `m` recovers at each boundary — and
+/// checks the two state-equality oracles against each other: `diff`
+/// finds nothing exactly when the digests are equal. Each recovered
+/// machine is compared with the reference both one boundary behind and
+/// at its own boundary, so both verdicts are exercised everywhere.
+fn cross_check(name: &str, rec: &Recording, m: &mut Machine, reference: &mut Machine) {
+    rec.seek(reference, 0).expect("seek to 0");
+    let mut behind = None;
+    for b in 0..=rec.boundaries() {
+        rec.seek(m, b).expect("recovery seek");
+        let recovered = m.state_digest();
+        if let Some(digest) = behind {
+            let d = m.diff(reference);
+            assert_eq!(d.is_none(), recovered == digest, "{name} @ {b}: {d:?}");
+            reference
+                .run_until(rec.start() + b)
+                .expect("reference pass");
+        }
+        let digest = reference.state_digest();
+        let d = m.diff(reference);
+        assert_eq!(d.is_none(), recovered == digest, "{name} @ {b}: {d:?}");
+        assert_eq!(d, None, "{name}: recovery diverged at boundary {b}");
+        behind = Some(digest);
+    }
+}
+
+#[test]
+fn diff_agrees_with_digest_equality_at_every_boundary() {
+    let dir = format!("{}/tests/data", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("listing directory")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .filter(|n| n.ends_with(".ms"))
+        .collect();
+    names.sort();
+    assert!(names.len() > 5, "{names:?}");
+    for name in &names {
+        let program = listing(name);
+        let mut m = Machine::new(program.clone());
+        let rec = Recording::capture(&mut m, 4, &[]);
+        cross_check(name, &rec, &mut m, &mut Machine::new(program));
+    }
+
+    // One storm victim per windowed technique: signals, preemptions and
+    // compound follow-ups mid-recording. Crypt's squall runs ~2,500
+    // boundaries, so it takes the (shorter) tempest.
+    for technique in WINDOWED_TECHNIQUES {
+        let intensity = if technique == Technique::Crypt {
+            StormIntensity::Tempest
+        } else {
+            StormIntensity::Squall
+        };
+        let build =
+            || storm_victim(technique, HandlerMode::Broken, intensity, 0x2e).expect("victim");
+        let mut m = build();
+        let rec = Recording::capture(&mut m, 16, &[]);
+        assert!(m.stats().signals > 0, "{technique}: the storm delivers");
+        cross_check(&technique.to_string(), &rec, &mut m, &mut build());
+    }
 }

@@ -159,7 +159,10 @@ impl<const A: usize> Level<A> {
             other.set_mask + 1,
         )?;
         for (c, (a, b)) in self.chunks.iter().zip(other.chunks.iter()).enumerate() {
-            if Rc::ptr_eq(a, b) || (a.lens == b.lens && a.tags == b.tags) {
+            // Equal live-way counts and equal tag rows wherever a way is
+            // live settle most unshared chunks without naming anything.
+            let rows = |s: usize| a.lens[s] == 0 || a.tags[s] == b.tags[s];
+            if Rc::ptr_eq(a, b) || (a.lens == b.lens && (0..CHUNK_SETS).all(rows)) {
                 continue;
             }
             for s in 0..CHUNK_SETS {

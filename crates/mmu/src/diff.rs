@@ -48,11 +48,19 @@ pub fn same(component: impl fmt::Display, left: u64, right: u64) -> Result<(), D
     if left == right {
         Ok(())
     } else {
-        Err(Divergence {
-            component: component.to_string(),
-            left,
-            right,
-        })
+        Err(diverged(&component, left, right))
+    }
+}
+
+/// The mismatch path of [`same`], kept out of line so the equal path
+/// stays one compare.
+#[cold]
+#[inline(never)]
+fn diverged(component: &dyn fmt::Display, left: u64, right: u64) -> Divergence {
+    Divergence {
+        component: component.to_string(),
+        left,
+        right,
     }
 }
 

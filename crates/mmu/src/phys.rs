@@ -170,27 +170,18 @@ impl PhysMemory {
     /// limit. A frame difference names the frame and the 8-byte word
     /// holding the first differing byte.
     pub(crate) fn compare(&self, other: &PhysMemory) -> Result<(), Divergence> {
-        static ZERO: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
-        for pfn in 0..self.frames.len().max(other.frames.len()) {
-            let a = self.frames.get(pfn).and_then(Option::as_ref);
-            let b = other.frames.get(pfn).and_then(Option::as_ref);
-            let (a, b) = match (a, b) {
-                (None, None) => continue,
-                (Some(a), Some(b)) if Rc::ptr_eq(a, b) => continue,
-                (a, b) => (a.map_or(&ZERO, |f| &**f), b.map_or(&ZERO, |f| &**f)),
-            };
-            if a != b {
-                let at = a
-                    .iter()
-                    .zip(b.iter())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(0)
-                    & !7;
-                let word = |f: &[u8; PAGE_SIZE as usize]| {
-                    u64::from_le_bytes(f[at..at + 8].try_into().expect("8-byte word"))
-                };
-                return same(format_args!("frame {pfn:#x} +{at:#x}"), word(a), word(b));
+        let ptr = |f: &Option<Frame>| f.as_ref().map_or(core::ptr::null(), Rc::as_ptr);
+        for (pfn, (a, b)) in self.frames.iter().zip(&other.frames).enumerate() {
+            if ptr(a) != ptr(b) {
+                compare_frame(pfn, a.as_deref(), b.as_deref())?;
             }
+        }
+        let common = self.frames.len().min(other.frames.len());
+        for (pfn, f) in self.frames.iter().enumerate().skip(common) {
+            compare_frame(pfn, f.as_deref(), None)?;
+        }
+        for (pfn, f) in other.frames.iter().enumerate().skip(common) {
+            compare_frame(pfn, None, f.as_deref())?;
         }
         same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
         same_opt("frame_limit", self.frame_limit, other.frame_limit)
@@ -258,6 +249,25 @@ impl PhysMemory {
             self.write(addr, &value.to_le_bytes());
         }
     }
+}
+
+/// Compares frame `pfn` of two memories, an absent frame as all zeros,
+/// naming the 8-byte word that holds the first differing byte.
+fn compare_frame(
+    pfn: usize,
+    a: Option<&[u8; PAGE_SIZE as usize]>,
+    b: Option<&[u8; PAGE_SIZE as usize]>,
+) -> Result<(), Divergence> {
+    static ZERO: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+    let (a, b) = (a.unwrap_or(&ZERO), b.unwrap_or(&ZERO));
+    if a == b {
+        return Ok(());
+    }
+    let at = a.iter().zip(b).position(|(x, y)| x != y).unwrap_or(0) & !7;
+    let word = |f: &[u8; PAGE_SIZE as usize]| {
+        u64::from_le_bytes(f[at..at + 8].try_into().expect("8-byte word"))
+    };
+    same(format_args!("frame {pfn:#x} +{at:#x}"), word(a), word(b))
 }
 
 /// Whether `frame` holds only zero bytes. OR-folding fixed 64-byte

@@ -802,6 +802,10 @@ mod tests {
                 })
                 .collect();
             assert_eq!(report.violations, expected, "{component}");
+            assert_eq!(
+                report.violations[0].to_string(),
+                format!("boundary {from}: {component} recovered {left:#x}, expected 0x0")
+            );
         }
     }
 }

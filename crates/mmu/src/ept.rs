@@ -414,31 +414,25 @@ mod tests {
                 s.epts[1].map(0x40, EptEntry::identity(0x41))
             }),
             ("EPT 1 gpfn 0x40 read", |s| {
-                s.epts[1]
-                    .entries
-                    .get_mut(&0x40)
-                    .unwrap()
-                    .as_mut()
-                    .unwrap()
-                    .read = false
+                let entry = EptEntry {
+                    read: false,
+                    ..EptEntry::identity(0x40)
+                };
+                s.epts[1].map(0x40, entry)
             }),
             ("EPT 1 gpfn 0x40 write", |s| {
-                s.epts[1]
-                    .entries
-                    .get_mut(&0x40)
-                    .unwrap()
-                    .as_mut()
-                    .unwrap()
-                    .write = false
+                let entry = EptEntry {
+                    write: false,
+                    ..EptEntry::identity(0x40)
+                };
+                s.epts[1].map(0x40, entry)
             }),
             ("EPT 1 gpfn 0x40 exec", |s| {
-                s.epts[1]
-                    .entries
-                    .get_mut(&0x40)
-                    .unwrap()
-                    .as_mut()
-                    .unwrap()
-                    .exec = false
+                let entry = EptEntry {
+                    exec: false,
+                    ..EptEntry::identity(0x40)
+                };
+                s.epts[1].map(0x40, entry)
             }),
             ("active EPT", |s| s.active = 0),
             ("EPT switches", |s| s.switches += 1),

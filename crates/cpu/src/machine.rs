@@ -1445,10 +1445,7 @@ impl Machine {
         if let (Some(a), Some(b)) = (a, b) {
             same("heap digest", a, b)?;
         }
-        match self.space.diff(&other.space) {
-            Some(d) => Err(d),
-            None => Ok(()),
-        }
+        self.space.diff(&other.space).map_or(Ok(()), Err)
     }
 }
 

@@ -1113,10 +1113,12 @@ impl Machine {
     /// constant or cost-inert, and stay on the machine across restores.
     ///
     /// The address space is cloned copy-on-write: the snapshot shares
-    /// every physical frame and cache chunk with the machine, so taking
-    /// one costs a pointer copy per frame and per 64-set cache chunk, and
-    /// the machine's next write to a shared frame or chunk copies just
-    /// that one.
+    /// the physical frame table's blocks of 64 frame slots, every frame
+    /// and every cache chunk with the machine, so taking one costs a
+    /// pointer copy per block and per 64-set cache chunk. The machine's
+    /// next write to a shared frame copies just its block's 64 slot
+    /// pointers and that frame, and one to a shared chunk just that
+    /// chunk.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             space: self.space.clone(),
@@ -1146,13 +1148,13 @@ impl Machine {
     /// schedule after restoring to sweep the next injection point.
     ///
     /// The address space rewinds through [`AddressSpace::restore_from`]:
-    /// physical frames and cache chunks already shared with the snapshot
-    /// stay, and only those written since (or never shared) are
+    /// blocks of frame slots and cache chunks already shared with the
+    /// snapshot stay, and only those written since (or never shared) are
     /// re-pointed to the snapshot's, so a restore costs a pointer compare
-    /// per frame and per cache chunk and copies no frame or cache
-    /// contents. The mutation
-    /// generation moves past both timelines', which orphans every
-    /// inline-cache slot stamped before the restore.
+    /// per block of 64 frames and per cache chunk and copies no frame or
+    /// cache contents. The mutation generation moves past both
+    /// timelines', which orphans every inline-cache slot stamped before
+    /// the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.space.restore_from(&snap.space);
         self.regs = snap.regs;
@@ -1453,10 +1455,11 @@ impl Machine {
 /// (page tables, physical frames, TLB, caches, EPTs), registers,
 /// statistics, threads, heap policy and cipher. Created by
 /// [`Machine::snapshot`], consumed (repeatedly, in any order with other
-/// snapshots) by [`Machine::restore`]. Physical frames and cache chunks
-/// are shared copy-on-write with the machine and with other snapshots: a
-/// write after the capture copies the frame or chunk it touches, so a
-/// snapshot never changes.
+/// snapshots) by [`Machine::restore`]. Physical frames, the frame
+/// table's blocks of slots and cache chunks are shared copy-on-write with
+/// the machine and with other snapshots: a write after the capture copies
+/// the frame and block, or the chunk, it touches, so a snapshot never
+/// changes.
 #[derive(Debug)]
 pub struct MachineSnapshot {
     space: AddressSpace,

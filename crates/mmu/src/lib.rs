@@ -30,7 +30,8 @@
 //!   bit-equality between rewound and from-start machine states.
 //! * [`diff`] — the exact counterpart of the digest: two live states
 //!   compared component by component, the first difference named
-//!   ([`diff::Divergence`]), shared frames and cache chunks skipped.
+//!   ([`diff::Divergence`]), shared frame blocks, frames and cache
+//!   chunks skipped.
 //!
 //! All checks return typed [`Fault`]s; nothing panics on a bad guest access.
 

@@ -8,13 +8,18 @@
 //! snapshot, restore or digest time.
 //!
 //! Frame numbers are dense small integers (the bump allocator starts at 1),
-//! so the backing store is a `Vec` indexed by frame number rather than a
-//! hash map: the simulator's memory pipeline resolves a frame with one
-//! bounds-checked index instead of a hash per byte.
+//! so the backing store is a table indexed by frame number rather than a
+//! hash map: a `Vec` of fixed-size blocks of [`BLOCK`] frame slots. The
+//! simulator's memory pipeline resolves a frame with one bounds-checked
+//! block index and one slot index that needs no check.
 //!
-//! Materialized frames are reference-counted and shared between clones.
-//! A clone (a machine snapshot) copies one pointer per frame, and a write
-//! copies a frame's 4 KiB only while another clone still shares it.
+//! Both the blocks and the materialized frames are reference-counted and
+//! shared between clones. A clone (a machine snapshot) copies one pointer
+//! per block. A write copies the block holding its frame's slot (64
+//! pointers) and then the frame's 4 KiB, each only while another clone
+//! still shares it. Restoring and comparing skip every block both sides
+//! share, so they cost one pointer compare per block plus a look at the
+//! slots of the blocks either side wrote since.
 
 use std::rc::Rc;
 
@@ -26,12 +31,27 @@ use crate::digest::Digest;
 /// written to it since the clone was taken.
 type Frame = Rc<[u8; PAGE_SIZE as usize]>;
 
+/// Frame slots per block of the frame table.
+const BLOCK: usize = 64;
+
+/// The slots of [`BLOCK`] consecutive frames, shared by every clone that
+/// has not written to any of those frames since the clone was taken.
+type Block = [Option<Frame>; BLOCK];
+
+const EMPTY_BLOCK: Block = [const { None }; BLOCK];
+
+/// The block index and the slot within it of frame `pfn`.
+#[inline(always)]
+fn split(pfn: u64) -> (usize, usize) {
+    ((pfn / BLOCK as u64) as usize, (pfn % BLOCK as u64) as usize)
+}
+
 /// Simulated physical memory: 4 KiB frames, materialized on first write,
-/// indexed by frame number. Cloning is cheap: clones share every frame
-/// until one side writes to it.
+/// indexed by frame number. Cloning is cheap: clones share every block of
+/// frame slots, and every frame, until one side writes to it.
 #[derive(Debug, Default, Clone)]
 pub struct PhysMemory {
-    frames: Vec<Option<Frame>>,
+    blocks: Vec<Rc<Block>>,
     materialized: usize,
     next_free_pfn: u64,
     frame_limit: Option<u64>,
@@ -42,7 +62,7 @@ impl PhysMemory {
     /// frame 1 (frame 0 is reserved so a zero PTE can never look mapped).
     pub fn new() -> Self {
         Self {
-            frames: Vec::new(),
+            blocks: Vec::new(),
             materialized: 0,
             next_free_pfn: 1,
             frame_limit: None,
@@ -50,23 +70,19 @@ impl PhysMemory {
     }
 
     /// Rewinds `self` to the state of `src`, which may be any memory
-    /// (typically an earlier or later clone of `self`). Only the frame
-    /// slots whose pointers differ are re-pointed to `src`'s frames, so
-    /// the cost is one pointer compare per frame slot and no copying.
+    /// (typically an earlier or later clone of `self`). Only the blocks
+    /// of frame slots whose pointers differ are re-pointed to `src`'s
+    /// blocks, so the cost is one pointer compare per block of
+    /// [`BLOCK`] frames and no copying.
     pub fn restore_from(&mut self, src: &PhysMemory) {
-        self.frames.truncate(src.frames.len());
-        for (dst, s) in self.frames.iter_mut().zip(&src.frames) {
-            let same = match (dst.as_ref(), s.as_ref()) {
-                (Some(a), Some(b)) => Rc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            };
-            if !same {
+        self.blocks.truncate(src.blocks.len());
+        for (dst, s) in self.blocks.iter_mut().zip(&src.blocks) {
+            if !Rc::ptr_eq(dst, s) {
                 dst.clone_from(s);
             }
         }
-        let len = self.frames.len();
-        self.frames.extend_from_slice(&src.frames[len..]);
+        let len = self.blocks.len();
+        self.blocks.extend_from_slice(&src.blocks[len..]);
         self.materialized = src.materialized;
         self.next_free_pfn = src.next_free_pfn;
         self.frame_limit = src.frame_limit;
@@ -109,9 +125,12 @@ impl PhysMemory {
         // A fresh frame reads as zeros without being materialized. If a
         // stray write past the cursor already materialized it, drop the
         // contents; a clone taken before still holds them.
-        if let Some(slot @ Some(_)) = self.frames.get_mut(pfn as usize) {
-            *slot = None;
-            self.materialized -= 1;
+        let (block, slot) = split(pfn);
+        if let Some(block) = self.blocks.get_mut(block) {
+            if block[slot].is_some() {
+                Rc::make_mut(block)[slot] = None;
+                self.materialized -= 1;
+            }
         }
         Some(PhysAddr(pfn << 12))
     }
@@ -121,19 +140,42 @@ impl PhysMemory {
         self.materialized
     }
 
+    /// The frame `pfn` for reading, or `None` while it is unmaterialized.
+    #[inline(always)]
+    fn frame(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
+        let (block, slot) = split(pfn);
+        self.blocks.get(block)?[slot].as_deref()
+    }
+
     /// The frame `pfn` for writing: materialized (zero-filled) if absent,
-    /// and copied first if a clone still shares it.
+    /// and copied first, with the block holding its slot, if a clone still
+    /// shares either.
     #[inline]
     fn frame_mut(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let idx = pfn as usize;
-        if idx >= self.frames.len() {
-            self.frames.resize_with(idx + 1, || None);
+        let (block, slot) = split(pfn);
+        if block >= self.blocks.len() {
+            // The new blocks share one empty block until written.
+            self.blocks.resize(block + 1, Rc::new(EMPTY_BLOCK));
         }
-        let slot = &mut self.frames[idx];
+        let slot = &mut Rc::make_mut(&mut self.blocks[block])[slot];
         if slot.is_none() {
             self.materialized += 1;
         }
         Rc::make_mut(slot.get_or_insert_with(|| Rc::new([0; PAGE_SIZE as usize])))
+    }
+
+    /// Whether `self` and `other` hold frame `pfn` as one shared frame.
+    #[cfg(test)]
+    pub(crate) fn shares_frame(&self, other: &PhysMemory, pfn: u64) -> bool {
+        match (self.frame(pfn), other.frame(pfn)) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Every frame slot with its frame number, in frame order.
+    fn slots(&self) -> impl Iterator<Item = (usize, &Option<Frame>)> {
+        self.blocks.iter().flat_map(|block| block.iter()).enumerate()
     }
 
     /// Feeds the memory's semantic state into `d`: every materialized
@@ -144,7 +186,7 @@ impl PhysMemory {
     /// implementation artifacts, not guest-visible state.
     pub fn digest_into(&self, d: &mut Digest) {
         let mut nonzero = 0u64;
-        for (pfn, frame) in self.frames.iter().enumerate() {
+        for (pfn, frame) in self.slots() {
             if let Some(frame) = frame {
                 if !is_zero(frame) {
                     nonzero += 1;
@@ -165,22 +207,27 @@ impl PhysMemory {
     }
 
     /// Compares what [`Self::digest_into`] feeds, in its order: frame
-    /// contents (an absent frame equals an all-zero one, and a frame both
-    /// sides share is equal unread), the allocator cursor and the frame
-    /// limit. A frame difference names the frame and the 8-byte word
-    /// holding the first differing byte.
+    /// contents (an absent frame equals an all-zero one, and a block or
+    /// frame both sides share is equal unread), the allocator cursor and
+    /// the frame limit. A frame difference names the frame and the 8-byte
+    /// word holding the first differing byte.
     pub(crate) fn compare(&self, other: &PhysMemory) -> Result<(), Divergence> {
         let ptr = |f: &Option<Frame>| f.as_ref().map_or(core::ptr::null(), Rc::as_ptr);
-        for (pfn, (a, b)) in self.frames.iter().zip(&other.frames).enumerate() {
-            if ptr(a) != ptr(b) {
-                compare_frame(pfn, a.as_deref(), b.as_deref())?;
+        for (i, (a, b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
+            if Rc::ptr_eq(a, b) {
+                continue;
+            }
+            for (slot, (a, b)) in a.iter().zip(b.iter()).enumerate() {
+                if ptr(a) != ptr(b) {
+                    compare_frame(i * BLOCK + slot, a.as_deref(), b.as_deref())?;
+                }
             }
         }
-        let common = self.frames.len().min(other.frames.len());
-        for (pfn, f) in self.frames.iter().enumerate().skip(common) {
+        let common = self.blocks.len().min(other.blocks.len()) * BLOCK;
+        for (pfn, f) in self.slots().skip(common) {
             compare_frame(pfn, f.as_deref(), None)?;
         }
-        for (pfn, f) in other.frames.iter().enumerate().skip(common) {
+        for (pfn, f) in other.slots().skip(common) {
             compare_frame(pfn, None, f.as_deref())?;
         }
         same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
@@ -196,9 +243,9 @@ impl PhysMemory {
             let off = (pos & (PAGE_SIZE - 1)) as usize;
             let in_frame = (PAGE_SIZE as usize - off).min(buf.len() - done);
             let dst = &mut buf[done..done + in_frame];
-            match self.frames.get((pos >> 12) as usize) {
-                Some(Some(frame)) => dst.copy_from_slice(&frame[off..off + in_frame]),
-                _ => dst.fill(0),
+            match self.frame(pos >> 12) {
+                Some(frame) => dst.copy_from_slice(&frame[off..off + in_frame]),
+                None => dst.fill(0),
             }
             done += in_frame;
         }
@@ -222,14 +269,14 @@ impl PhysMemory {
     #[inline(always)]
     pub fn read_u64(&self, addr: PhysAddr) -> u64 {
         if addr.frame_offset() <= PAGE_SIZE - 8 {
-            match self.frames.get(addr.pfn() as usize) {
-                Some(Some(frame)) => {
+            match self.frame(addr.pfn()) {
+                Some(frame) => {
                     let off = addr.frame_offset() as usize;
                     let mut buf = [0u8; 8];
                     buf.copy_from_slice(&frame[off..off + 8]);
                     u64::from_le_bytes(buf)
                 }
-                _ => 0,
+                None => 0,
             }
         } else {
             let mut buf = [0u8; 8];
@@ -444,14 +491,6 @@ mod tests {
         assert_eq!(&buf, b"shared", "sources are never written through");
     }
 
-    /// Whether slot `pfn` of `a` and `b` holds the same shared frame.
-    fn shares(a: &PhysMemory, b: &PhysMemory, pfn: usize) -> bool {
-        match (&a.frames[pfn], &b.frames[pfn]) {
-            (Some(x), Some(y)) => Rc::ptr_eq(x, y),
-            _ => false,
-        }
-    }
-
     #[test]
     fn clones_share_untouched_frames() {
         let mut pm = PhysMemory::new();
@@ -459,20 +498,116 @@ mod tests {
             pm.write_u64(PhysAddr(pfn << 12), pfn);
         }
         let snap = pm.clone();
-        assert!((1..5).all(|pfn| shares(&pm, &snap, pfn)));
+        assert!((1..5).all(|pfn| pm.shares_frame(&snap, pfn)));
 
         // A write copies only the frame it touches; reads copy nothing.
         pm.write_u64(PhysAddr((2 << 12) + 8), 99);
         pm.read_u64(PhysAddr(3 << 12));
-        assert!(!shares(&pm, &snap, 2));
-        assert!([1, 3, 4].iter().all(|&pfn| shares(&pm, &snap, pfn)));
+        assert!(!pm.shares_frame(&snap, 2));
+        assert!([1, 3, 4].iter().all(|&pfn| pm.shares_frame(&snap, pfn)));
         assert_eq!(snap.read_u64(PhysAddr((2 << 12) + 8)), 0);
         assert_eq!(snap.read_u64(PhysAddr(2 << 12)), 2);
         assert_eq!(pm.read_u64(PhysAddr(2 << 12)), 2, "copy keeps the rest");
 
         // A restore re-points the copied frame back to the shared one.
         pm.restore_from(&snap);
-        assert!((1..5).all(|pfn| shares(&pm, &snap, pfn)));
+        assert!((1..5).all(|pfn| pm.shares_frame(&snap, pfn)));
+    }
+
+    /// Which blocks of their frame tables `a` and `b` share, by index
+    /// (`None` where only one side has the block).
+    fn shared_blocks(a: &PhysMemory, b: &PhysMemory) -> Vec<Option<bool>> {
+        (0..a.blocks.len().max(b.blocks.len()))
+            .map(|i| Some(Rc::ptr_eq(a.blocks.get(i)?, b.blocks.get(i)?)))
+            .collect()
+    }
+
+    /// A memory with frames materialized in blocks 0, 1 and 3 (block 2
+    /// holds none): frames 1 and 2, 65 and 66, 200.
+    fn spread() -> PhysMemory {
+        let mut pm = PhysMemory::new();
+        for pfn in [1u64, 2, 65, 66, 200] {
+            pm.write_u64(PhysAddr(pfn << 12), pfn);
+        }
+        pm
+    }
+
+    #[test]
+    fn clones_share_untouched_blocks() {
+        let pm = spread();
+        let snap = pm.clone();
+        assert_eq!(shared_blocks(&pm, &snap), [Some(true); 4]);
+        // Reads, of present and absent frames, copy nothing.
+        for pfn in [1u64, 3, 66, 130, 200, 999] {
+            pm.read_u64(PhysAddr(pfn << 12));
+        }
+        let mut buf = [0u8; 16];
+        pm.read(PhysAddr((64 << 12) - 8), &mut buf);
+        assert_eq!(shared_blocks(&pm, &snap), [Some(true); 4]);
+        assert_eq!(pm.frame_count(), 5);
+    }
+
+    #[test]
+    fn one_write_copies_one_block_and_one_frame() {
+        let mut pm = spread();
+        let snap = pm.clone();
+        pm.write_u64(PhysAddr((65 << 12) + 8), 99);
+        assert_eq!(
+            shared_blocks(&pm, &snap),
+            [Some(true), Some(false), Some(true), Some(true)]
+        );
+        assert!(!pm.shares_frame(&snap, 65));
+        assert!([1, 2, 66, 200].iter().all(|&pfn| pm.shares_frame(&snap, pfn)));
+        assert_eq!(pm.frame_count(), 5);
+        // A second write into the now unshared block copies neither it
+        // nor any frame again, and materializes only its own frame.
+        let block = Rc::as_ptr(&pm.blocks[1]);
+        pm.write_u64(PhysAddr(70 << 12), 7);
+        assert_eq!(Rc::as_ptr(&pm.blocks[1]), block);
+        assert!(pm.shares_frame(&snap, 66));
+        assert_eq!(pm.frame_count(), 6);
+        // The snapshot sees none of it.
+        assert_eq!(snap.read_u64(PhysAddr((65 << 12) + 8)), 0);
+        assert_eq!(snap.read_u64(PhysAddr(70 << 12)), 0);
+        assert_eq!(snap.frame_count(), 5);
+    }
+
+    #[test]
+    fn restore_re_points_exactly_the_blocks_that_differ() {
+        let small = spread();
+        let mut big = small.clone();
+        big.write_u64(PhysAddr(1 << 12), 11);
+        big.write_u64(PhysAddr(300 << 12), 3);
+        assert_eq!((small.blocks.len(), big.blocks.len()), (4, 5));
+
+        // Towards a source with more blocks: the extra block is adopted
+        // shared, the written block re-pointed, the rest left alone.
+        let mut pm = small.clone();
+        pm.restore_from(&big);
+        assert_eq!(shared_blocks(&pm, &big), [Some(true); 5]);
+        assert_eq!(pm.read_u64(PhysAddr(1 << 12)), 11);
+        assert_eq!(pm.read_u64(PhysAddr(300 << 12)), 3);
+        assert_eq!(pm.frame_count(), big.frame_count());
+        assert_eq!(digest(&pm), digest(&big));
+
+        // Towards a source with fewer blocks: the extra block goes.
+        pm.restore_from(&small);
+        assert_eq!(shared_blocks(&pm, &small), [Some(true); 4]);
+        assert_eq!(pm.read_u64(PhysAddr(1 << 12)), 1);
+        assert_eq!(pm.read_u64(PhysAddr(300 << 12)), 0);
+        assert_eq!(pm.frame_count(), small.frame_count());
+        assert_eq!(digest(&pm), digest(&small));
+
+        // A block the source shares is kept as it is; the copy a write
+        // made is released.
+        pm.write_u64(PhysAddr(200 << 12), 20);
+        let copy = Rc::downgrade(&pm.blocks[3]);
+        let kept: Vec<_> = pm.blocks[..3].iter().map(Rc::as_ptr).collect();
+        pm.restore_from(&small);
+        assert!(copy.upgrade().is_none(), "the written block is re-pointed");
+        assert!(pm.blocks[..3].iter().map(Rc::as_ptr).eq(kept));
+        assert_eq!(pm.read_u64(PhysAddr(200 << 12)), 200);
+        assert_eq!(digest(&pm), digest(&small));
     }
 
     fn digest(pm: &PhysMemory) -> u64 {
@@ -606,13 +741,28 @@ mod tests {
         let mut base = PhysMemory::new();
         base.alloc_frame();
         base.write_u64(PhysAddr((1 << 12) + 0x18), 0x1234);
-        let rows: [Mutation<PhysMemory>; 5] = [
+        // A frame in a second block, so both sides hold two blocks.
+        base.write_u64(PhysAddr(0x41 << 12), 0x41);
+        let rows: [Mutation<PhysMemory>; 9] = [
             ("frame 0x1 +0x18", |pm| {
                 pm.write(PhysAddr((1 << 12) + 0x1b), &[9])
             }),
             // Materialized on one side only.
             ("frame 0x7 +0xff8", |pm| {
                 pm.write(PhysAddr((7 << 12) + 0xfff), &[1])
+            }),
+            // In the second block, which both sides hold.
+            ("frame 0x41 +0x20", |pm| {
+                pm.write_u64(PhysAddr((0x41 << 12) + 0x20), 2)
+            }),
+            // At the edges of the first and second blocks.
+            ("frame 0x3f +0xff8", |pm| {
+                pm.write(PhysAddr((0x3f << 12) + 0xfff), &[1])
+            }),
+            ("frame 0x40 +0x0", |pm| pm.write(PhysAddr(0x40 << 12), &[1])),
+            // In a block only one side holds.
+            ("frame 0x80 +0x8", |pm| {
+                pm.write_u64(PhysAddr((0x80 << 12) + 0x8), 3)
             }),
             ("next_free_pfn", |pm| {
                 pm.alloc_frame();
@@ -646,7 +796,7 @@ mod tests {
         c.write_u64(PhysAddr(3 << 12), 5);
         let mut d = c.clone();
         d.write_u64(PhysAddr(3 << 12), 5);
-        assert!(!shares(&c, &d, 3));
+        assert!(!c.shares_frame(&d, 3));
         assert_eq!(verdict(&c, &d), None);
         // Memories built apart share nothing and still compare equal.
         let mut e = PhysMemory::new();

@@ -875,10 +875,10 @@ impl AddressSpace {
     /// entries and TLB counters, the view roots, the active view, PKRU,
     /// the EPTP list and the `mprotect` counter. Like the digest it
     /// ignores the translation memo, the mutation generation and the
-    /// fast-path hit counters. Frames and cache chunks both spaces share
-    /// copy-on-write are equal without a look at their contents, so
-    /// comparing a space against one restored from a common snapshot
-    /// costs only what each wrote since.
+    /// fast-path hit counters. Blocks of frame slots, frames and cache
+    /// chunks both spaces share copy-on-write are equal without a look at
+    /// their contents, so comparing a space against one restored from a
+    /// common snapshot costs only what each wrote since.
     pub fn diff(&self, other: &AddressSpace) -> Option<Divergence> {
         self.compare(other).err()
     }
@@ -908,10 +908,12 @@ impl AddressSpace {
 
     /// Rewinds `self` to the state of `src`, which may be any space —
     /// typically a snapshot clone of `self` taken earlier or later on
-    /// either timeline. Physical frames and cache chunks are shared
-    /// copy-on-write between clones, so only the frame slots and chunks
-    /// whose pointers differ from `src`'s are re-pointed, and nothing is
-    /// copied; the small fixed-size components (TLB, views, `pkru`, EPTs,
+    /// either timeline. The physical frame table's blocks of 64 frame
+    /// slots and the cache chunks are shared copy-on-write between
+    /// clones, so only the blocks and chunks whose pointers differ from
+    /// `src`'s are re-pointed, and nothing is copied; a restore with
+    /// nothing to re-point costs a pointer compare per block and per
+    /// chunk. The small fixed-size components (TLB, views, `pkru`, EPTs,
     /// translation memo, counters) are copied wholesale. Apart from the
     /// mutation generation, which moves past both timelines' values, the
     /// result equals `src.clone()`.

@@ -579,7 +579,7 @@ impl AddressSpace {
                 let res = pt
                     .walk(&mut self.pm, va)
                     .ok_or(Fault::NotMapped { addr: va, access })?;
-                pt.update_leaf(&mut self.pm, va, |p| p.mark_used(access == Access::Write));
+                res.update(&mut self.pm, |p| p.mark_used(access == Access::Write));
                 // A TLB insert can silently evict a conflicting entry
                 // (direct-mapped, no eviction statistic), turning some
                 // other page's next real probe into a miss — so inserts
@@ -1094,6 +1094,39 @@ mod tests {
         assert_eq!(s.tlb_stats().page_flushes, 2);
         s.unmap_region(VirtAddr(0x4000), PAGE_SIZE);
         assert_eq!(s.tlb_stats().page_flushes, 3);
+    }
+
+    #[test]
+    fn unchanged_leaf_entries_leave_the_page_table_shared() {
+        let va = VirtAddr(0x4000);
+        let mut s = space_with_page(va.0, PageFlags::rw());
+        let leaf = s.pt().walk(&mut s.pm, va).unwrap().pte_addr.pfn();
+        let pm_digest = |s: &AddressSpace| {
+            let mut d = crate::digest::Digest::new();
+            s.pm.digest_into(&mut d);
+            d.finish()
+        };
+        let snap = s.clone();
+        // An mprotect to the flags the page already has still counts the
+        // call, bumps the generation and flushes the page, but writes no
+        // entry, so the clone keeps sharing the leaf table.
+        assert!(s.mprotect(va, PAGE_SIZE, Prot::ReadWrite));
+        assert!(s.pm.shares_frame(&snap.pm, leaf));
+        assert_eq!(pm_digest(&s), pm_digest(&snap));
+        assert_eq!(s.mprotect_calls(), snap.mprotect_calls() + 1);
+        assert_eq!(s.tlb_stats().page_flushes, snap.tlb_stats().page_flushes + 1);
+        assert!(s.generation() > snap.generation());
+
+        // The first TLB miss marks the entry accessed; a later miss on the
+        // marked entry writes nothing.
+        s.read_u64(va).unwrap();
+        assert!(!s.pm.shares_frame(&snap.pm, leaf));
+        let snap = s.clone();
+        s.tlb.flush_page(va.vpn());
+        s.read_u64(va).unwrap();
+        assert_eq!(s.tlb_stats().misses, snap.tlb_stats().misses + 1);
+        assert!(s.pm.shares_frame(&snap.pm, leaf));
+        assert_eq!(pm_digest(&s), pm_digest(&snap));
     }
 
     #[test]

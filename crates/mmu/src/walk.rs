@@ -29,6 +29,19 @@ pub struct WalkResult {
     pub levels_touched: u32,
 }
 
+impl WalkResult {
+    /// Applies `update` to the walked leaf entry, writing it back only if
+    /// the update changed it: an unchanged entry leaves its page-table
+    /// frame shared with every snapshot.
+    pub(crate) fn update(&self, pm: &mut PhysMemory, update: impl FnOnce(&mut Pte)) {
+        let mut pte = self.pte;
+        update(&mut pte);
+        if pte != self.pte {
+            pm.write_u64(self.pte_addr, pte.0);
+        }
+    }
+}
+
 impl PageTable {
     /// Allocates an empty root table.
     pub fn new(pm: &mut PhysMemory) -> Self {
@@ -148,7 +161,8 @@ impl PageTable {
     }
 
     /// Applies `update` to the leaf entry of `va`; returns `false` if the
-    /// page is unmapped.
+    /// page is unmapped. An update that leaves the entry as it was writes
+    /// nothing.
     pub fn update_leaf(
         &self,
         pm: &mut PhysMemory,
@@ -157,9 +171,7 @@ impl PageTable {
     ) -> bool {
         match self.walk(pm, va) {
             Some(res) => {
-                let mut pte = res.pte;
-                update(&mut pte);
-                pm.write_u64(res.pte_addr, pte.0);
+                res.update(pm, update);
                 true
             }
             None => false,

@@ -446,7 +446,9 @@ pub fn run_storm(
     }
 
     // Oracle 3: snapshot → run on → restore at the first quiescent
-    // boundary from mid-storm, digests equal (stream cursors included).
+    // boundary from mid-storm, then no difference (stream cursors
+    // included) from a second victim seeked to that boundary.
+    let mut reference = storm_victim(technique, mode, intensity, seed)?;
     let mut digest_ok = true;
     for b in boundaries / 2..=boundaries {
         rec.seek(&mut m, b)
@@ -455,7 +457,8 @@ pub fn run_storm(
         if m.signal_depth() != 0 || m.preempt_active() {
             continue;
         }
-        let before = m.state_digest();
+        rec.seek(&mut reference, b)
+            .map_err(|error| CampaignError::Replay { technique, error })?;
         let snap = m.snapshot();
         let schedule = m.event_schedule().cloned();
         // Running past the end (or into the storm's trap) is fine — only
@@ -466,13 +469,12 @@ pub fn run_storm(
         if let Some(s) = schedule {
             m.set_event_schedule(s);
         }
-        digest_ok = m.state_digest() == before;
+        digest_ok = m.diff(&reference).is_none();
         break;
     }
 
     // Oracle 4: crash-recover at every boundary of the storm recording,
-    // against a second victim running the reference pass alongside.
-    let mut reference = storm_victim(technique, mode, intensity, seed)?;
+    // against the second victim running the reference pass alongside.
     let report = crash_sweep(&rec, &mut m, &mut reference)
         .map_err(|error| CampaignError::Replay { technique, error })?;
     // Reference pass replays the run once; crash pass seeks everywhere.

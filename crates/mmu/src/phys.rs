@@ -598,14 +598,17 @@ mod tests {
         assert_eq!(pm.frame_count(), small.frame_count());
         assert_eq!(digest(&pm), digest(&small));
 
-        // A block the source shares is kept as it is; the copy a write
-        // made is released.
+        // Blocks the source shares are kept as they are; the copies two
+        // writes made are released.
+        pm.write_u64(PhysAddr(65 << 12), 10);
         pm.write_u64(PhysAddr(200 << 12), 20);
-        let copy = Rc::downgrade(&pm.blocks[3]);
-        let kept: Vec<_> = pm.blocks[..3].iter().map(Rc::as_ptr).collect();
+        let copies = [1, 3].map(|i| Rc::downgrade(&pm.blocks[i]));
+        let kept = [0, 2].map(|i| Rc::as_ptr(&pm.blocks[i]));
         pm.restore_from(&small);
-        assert!(copy.upgrade().is_none(), "the written block is re-pointed");
-        assert!(pm.blocks[..3].iter().map(Rc::as_ptr).eq(kept));
+        assert!(copies.iter().all(|c| c.upgrade().is_none()));
+        assert_eq!([0, 2].map(|i| Rc::as_ptr(&pm.blocks[i])), kept);
+        assert_eq!(shared_blocks(&pm, &small), [Some(true); 4]);
+        assert_eq!(pm.read_u64(PhysAddr(65 << 12)), 65);
         assert_eq!(pm.read_u64(PhysAddr(200 << 12)), 200);
         assert_eq!(digest(&pm), digest(&small));
     }

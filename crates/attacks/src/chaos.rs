@@ -20,13 +20,15 @@
 //!    holds the secret, neither at the end of the run nor at any sampled
 //!    mid-storm boundary.
 //! 3. **Snapshot/restore is storm-proof** — at a quiescent mid-storm
-//!    boundary, digest → snapshot → run on → restore reproduces the
-//!    digest bit-exactly (stream cursors included).
+//!    boundary, snapshot → run on → restore leaves no
+//!    [`memsentry_cpu::Machine::diff`] (stream cursors included) against
+//!    a second victim, built by the same [`storm_victim`] call and
+//!    seeked to that boundary.
 //! 4. **Replay is storm-proof** — the recorded run crash-recovers
-//!    bit-exactly at every boundary ([`memsentry_cpu::crash_sweep`]): a
-//!    second victim, built by the same [`storm_victim`] call, runs the
-//!    crash-free reference pass alongside, and each recovered machine is
-//!    compared with it live by [`memsentry_cpu::Machine::diff`].
+//!    bit-exactly at every boundary ([`memsentry_cpu::crash_sweep`]): the
+//!    second victim runs the crash-free reference pass alongside, and
+//!    each recovered machine is compared with it live by
+//!    [`memsentry_cpu::Machine::diff`].
 //!
 //! The storm victim differs from the sweep victim on purpose: its window
 //! re-opens every loop iteration, so a *broken* runtime survives exactly
@@ -368,7 +370,9 @@ pub struct StormRun {
     /// Boundaries (the end state plus `EXPOSURE_SAMPLES` seeks) where
     /// the mailbox held the secret — oracle 2 requires 0 under scrub.
     pub exposed_points: u64,
-    /// Oracle 3: mid-storm snapshot/restore digest equality.
+    /// Oracle 3: a mid-storm snapshot → run on → restore leaves no
+    /// [`Machine::diff`] against a second victim seeked to the same
+    /// boundary.
     pub digest_ok: bool,
     /// Oracle 4: the storm recording crash-recovers bit-exactly.
     pub crash_ok: bool,

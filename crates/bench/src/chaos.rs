@@ -7,7 +7,8 @@
 //! storm intensity × seed`. Each row reports the storm's delivery counts,
 //! how the run ended (normal exit, reentrancy overflow, or hostile code
 //! faulting on the closed region) and the four oracle verdicts: exposure
-//! (`held`/`Exposed`), mid-storm snapshot/restore digest equality and
+//! (`held`/`Exposed`), mid-storm snapshot/restore equality (the `digest`
+//! column, now a `Machine::diff` against a second victim) and
 //! crash-recovery bit-exactness. Every cell is memoized on the shared
 //! [`Session`] and the grid fans out over the session's workers with rows
 //! reassembled in fixed order, so serial and parallel runs produce

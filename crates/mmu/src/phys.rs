@@ -175,7 +175,10 @@ impl PhysMemory {
 
     /// Every frame slot with its frame number, in frame order.
     fn slots(&self) -> impl Iterator<Item = (usize, &Option<Frame>)> {
-        self.blocks.iter().flat_map(|block| block.iter()).enumerate()
+        self.blocks
+            .iter()
+            .flat_map(|block| block.iter())
+            .enumerate()
     }
 
     /// Feeds the memory's semantic state into `d`: every materialized
@@ -557,7 +560,9 @@ mod tests {
             [Some(true), Some(false), Some(true), Some(true)]
         );
         assert!(!pm.shares_frame(&snap, 65));
-        assert!([1, 2, 66, 200].iter().all(|&pfn| pm.shares_frame(&snap, pfn)));
+        assert!([1, 2, 66, 200]
+            .iter()
+            .all(|&pfn| pm.shares_frame(&snap, pfn)));
         assert_eq!(pm.frame_count(), 5);
         // A second write into the now unshared block copies neither it
         // nor any frame again, and materializes only its own frame.

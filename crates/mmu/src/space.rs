@@ -1114,7 +1114,10 @@ mod tests {
         assert!(s.pm.shares_frame(&snap.pm, leaf));
         assert_eq!(pm_digest(&s), pm_digest(&snap));
         assert_eq!(s.mprotect_calls(), snap.mprotect_calls() + 1);
-        assert_eq!(s.tlb_stats().page_flushes, snap.tlb_stats().page_flushes + 1);
+        assert_eq!(
+            s.tlb_stats().page_flushes,
+            snap.tlb_stats().page_flushes + 1
+        );
         assert!(s.generation() > snap.generation());
 
         // The first TLB miss marks the entry accessed; a later miss on the

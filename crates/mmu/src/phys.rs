@@ -154,8 +154,7 @@ impl PhysMemory {
     fn frame_mut(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let (block, slot) = split(pfn);
         if block >= self.blocks.len() {
-            // The new blocks share one empty block until written.
-            self.blocks.resize(block + 1, Rc::new(EMPTY_BLOCK));
+            self.blocks.resize_with(block + 1, || Rc::new(EMPTY_BLOCK));
         }
         let slot = &mut Rc::make_mut(&mut self.blocks[block])[slot];
         if slot.is_none() {

@@ -9,7 +9,7 @@
 //!
 //! Frame numbers are dense small integers (the bump allocator starts at 1),
 //! so the backing store is a table indexed by frame number rather than a
-//! hash map: a `Vec` of fixed-size blocks of [`BLOCK`] frame slots. The
+//! hash map: a `Vec` of fixed-size blocks of 64 frame slots. The
 //! simulator's memory pipeline resolves a frame with one bounds-checked
 //! block index and one slot index that needs no check.
 //!
@@ -73,7 +73,7 @@ impl PhysMemory {
     /// (typically an earlier or later clone of `self`). Only the blocks
     /// of frame slots whose pointers differ are re-pointed to `src`'s
     /// blocks, so the cost is one pointer compare per block of
-    /// [`BLOCK`] frames and no copying.
+    /// 64 frames and no copying.
     pub fn restore_from(&mut self, src: &PhysMemory) {
         self.blocks.truncate(src.blocks.len());
         for (dst, s) in self.blocks.iter_mut().zip(&src.blocks) {

@@ -13,6 +13,7 @@ use std::rc::Rc;
 
 use crate::diff::{same, Divergence};
 use crate::digest::Digest;
+use crate::stamp::Stamp;
 
 /// Cache line size in bytes.
 pub const LINE: u64 = 64;
@@ -68,6 +69,11 @@ struct Chunk<const A: usize> {
 struct Level<const A: usize> {
     chunks: Box<[Rc<Chunk<A>>]>,
     set_mask: u64,
+    /// Shared with every clone holding the same chunk pointers, cleared
+    /// by every write (see [`crate::stamp`]): a restore between two
+    /// levels with one stamp skips the chunk scan. Memo state, excluded
+    /// from the digest and `compare`.
+    stamp: Stamp,
 }
 
 impl<const A: usize> Level<A> {
@@ -87,6 +93,7 @@ impl<const A: usize> Level<A> {
         Self {
             chunks: vec![empty; sets as usize / CHUNK_SETS].into_boxed_slice(),
             set_mask: sets - 1,
+            stamp: Stamp::default(),
         }
     }
 
@@ -103,6 +110,8 @@ impl<const A: usize> Level<A> {
             // with a snapshot stays shared.
             return true;
         }
+        // The set is about to change, shared chunk or not.
+        self.stamp.clear();
         let chunk = Rc::make_mut(&mut self.chunks[c]);
         // Move-to-front: shift the `n` tags ahead of the line's old slot
         // (or, on a miss, every live tag, the LRU tail of a full set
@@ -186,13 +195,20 @@ impl<const A: usize> Level<A> {
     }
 
     /// Rewinds `self` to `src` (any level of the same geometry) by
-    /// re-pointing the chunks that are not already shared with it.
+    /// re-pointing the chunks that are not already shared with it. A
+    /// level that shares `src`'s stamp already holds its chunk pointers
+    /// and returns at once; otherwise the rewound level takes `src`'s
+    /// stamp.
     fn restore_from(&mut self, src: &Self) {
+        if self.stamp.matches(&src.stamp) {
+            return;
+        }
         for (dst, s) in self.chunks.iter_mut().zip(src.chunks.iter()) {
             if !Rc::ptr_eq(dst, s) {
                 dst.clone_from(s);
             }
         }
+        self.stamp.adopt(&src.stamp);
     }
 }
 
@@ -205,7 +221,9 @@ const NO_LINE: u64 = u64::MAX;
 /// Cloning copies one pointer per 64-set chunk (137 in all) instead of
 /// the ~1 MiB of tags: clones share chunks until one side writes to them,
 /// and [`Self::restore_from`] rewinds to any clone by re-pointing only the
-/// chunks that differ.
+/// chunks that differ. Each level also carries a sharing stamp that its
+/// clones share and its writes clear, so a restore skips every level
+/// that has not been written since it last shared the source's chunks.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: Level<8>,
@@ -275,6 +293,12 @@ impl CacheHierarchy {
         self.stats
     }
 
+    /// Each level's sharing stamp id, for tests of which tables share one.
+    #[cfg(test)]
+    pub(crate) fn stamp_ids(&self) -> [u64; 3] {
+        [self.l1.stamp.id(), self.l2.stamp.id(), self.l3.stamp.id()]
+    }
+
     /// Feeds the hierarchy's semantic state (all three levels' set
     /// contents plus the hit counters) into `d`.
     pub fn digest_into(&self, d: &mut Digest) {
@@ -304,7 +328,10 @@ impl CacheHierarchy {
     /// Rewinds `self` to the state of `src`, which may be any hierarchy
     /// (typically an earlier or later clone of `self`): only the chunks
     /// not already shared with `src` are re-pointed, and nothing is
-    /// copied.
+    /// copied. A level whose sharing stamp equals `src`'s (neither was
+    /// written since one was cloned or restored from the other) is
+    /// skipped without a look at its chunks; the hit counters are always
+    /// copied and the same-line memo is always reset.
     pub fn restore_from(&mut self, src: &CacheHierarchy) {
         self.l1.restore_from(&src.l1);
         self.l2.restore_from(&src.l2);
@@ -468,6 +495,78 @@ mod tests {
 
         c.restore_from(&snap);
         assert!(shared_chunks(&c, &snap).iter().flatten().all(|&s| s));
+    }
+
+    #[test]
+    fn clones_share_one_nonzero_stamp_per_level() {
+        let mut c = warmed();
+        assert_eq!(c.stamp_ids(), [0; 3], "written levels are unstamped");
+        let snap = c.clone();
+        let ids = snap.stamp_ids();
+        assert!(ids.iter().all(|&id| id != 0), "{ids:?}");
+        assert_eq!(c.stamp_ids(), ids);
+        assert_eq!(c.clone().stamp_ids(), ids, "a second clone keeps the ids");
+        assert_ne!(ids[0], ids[1]);
+        assert_ne!(ids[1], ids[2]);
+        assert!(warmed()
+            .clone()
+            .stamp_ids()
+            .iter()
+            .all(|id| !ids.contains(id)));
+        // A hit on L1 set 5's LRU way reorders L1 alone and unstamps it.
+        assert_eq!(c.access(5 * LINE), HitLevel::L1);
+        assert_eq!(c.stamp_ids(), [0, ids[1], ids[2]]);
+    }
+
+    #[test]
+    fn a_restore_after_a_chunk_write_re_points_the_chunk() {
+        let all_shared = |a: &CacheHierarchy, b: &CacheHierarchy| {
+            shared_chunks(a, b).iter().flatten().all(|&s| s)
+        };
+        let mut c = warmed();
+        let snap = c.clone();
+        // A miss in set 0 of every level copies each level's chunk 0.
+        c.access(1 << 40);
+        assert!(shared_chunks(&c, &snap).iter().all(|level| !level[0]));
+        c.restore_from(&snap);
+        assert!(all_shared(&c, &snap));
+        assert_eq!(digest(&c), digest(&snap));
+        assert_eq!(
+            c.stamp_ids(),
+            snap.stamp_ids(),
+            "the rewound levels are stamped"
+        );
+        // The first write copies chunk 0; the next ones reorder that
+        // unshared copy in place.
+        c.access(1 << 40);
+        c.access((1 << 40) + 64 * LINE);
+        c.access(1 << 40);
+        c.restore_from(&snap);
+        assert!(all_shared(&c, &snap));
+        assert_eq!(digest(&c), digest(&snap));
+        // A level restored, then rewritten in place and restored again.
+        c.access(5 * LINE);
+        c.restore_from(&snap);
+        assert_eq!(digest(&c), digest(&snap));
+        assert!(all_shared(&c, &snap));
+    }
+
+    #[test]
+    fn unstamped_levels_with_different_contents_restore_fully() {
+        let mut a = CacheHierarchy::new();
+        let mut b = CacheHierarchy::new();
+        for i in 0..300u64 {
+            a.access(i * LINE * 3);
+            b.access(i * LINE * 5 + (1 << 30));
+        }
+        assert_eq!((a.stamp_ids(), b.stamp_ids()), ([0; 3], [0; 3]));
+        assert_ne!(digest(&a), digest(&b));
+        a.restore_from(&b);
+        assert_eq!(digest(&a), digest(&b));
+        assert!(shared_chunks(&a, &b).iter().flatten().all(|&s| s));
+        // Rewinding stamped both sides alike.
+        assert_eq!(a.stamp_ids(), b.stamp_ids());
+        assert!(a.stamp_ids().iter().all(|&id| id != 0));
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod phys;
 pub mod pkey;
 pub mod pte;
 pub mod space;
+mod stamp;
 pub mod tlb;
 pub mod walk;
 

@@ -10,6 +10,7 @@
 use crate::diff::{same, Divergence};
 use crate::digest::Digest;
 use crate::pte::Pte;
+use crate::stamp::Stamp;
 
 /// Number of TLB entries (a Skylake-ish L1 dTLB).
 pub const TLB_ENTRIES: usize = 64;
@@ -43,6 +44,11 @@ struct TlbEntry {
 pub struct Tlb {
     entries: Vec<TlbEntry>,
     stats: TlbStats,
+    /// Shared with every clone holding the same entries, cleared by
+    /// every entry write (see [`crate::stamp`]): a restore between two
+    /// TLBs with one stamp skips the entry copy. Memo state, excluded
+    /// from the digest and `compare`.
+    stamp: Stamp,
 }
 
 impl Default for Tlb {
@@ -65,6 +71,7 @@ impl Tlb {
                 TLB_ENTRIES
             ],
             stats: TlbStats::default(),
+            stamp: Stamp::default(),
         }
     }
 
@@ -98,6 +105,7 @@ impl Tlb {
     /// Installs a translation after a successful walk.
     #[inline]
     pub fn insert(&mut self, pcid: u16, vpn: u64, pte: Pte) {
+        self.stamp.clear();
         let slot = (vpn as usize) % TLB_ENTRIES;
         self.entries[slot] = TlbEntry {
             pcid,
@@ -113,12 +121,14 @@ impl Tlb {
         self.stats.page_flushes += 1;
         let slot = (vpn as usize) % TLB_ENTRIES;
         if self.entries[slot].vpn == vpn {
+            self.stamp.clear();
             self.entries[slot].valid = false;
         }
     }
 
     /// Invalidates everything (`mov cr3` without PCID).
     pub fn flush_all(&mut self) {
+        self.stamp.clear();
         for e in &mut self.entries {
             e.valid = false;
         }
@@ -128,6 +138,12 @@ impl Tlb {
     /// Returns the accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// The sharing stamp id, for tests of which TLBs share one.
+    #[cfg(test)]
+    pub(crate) fn stamp_id(&self) -> u64 {
+        self.stamp.id()
     }
 
     /// Feeds the TLB's semantic state into `d`: every valid entry as
@@ -185,9 +201,18 @@ impl Tlb {
     /// reallocating (both TLBs have the fixed [`TLB_ENTRIES`] geometry).
     /// The allocation-free counterpart of `*self = src.clone()`, used by
     /// `AddressSpace::restore_from` on every snapshot restore.
+    ///
+    /// The entries are copied only when they may differ: a TLB that
+    /// shares `src`'s sharing stamp (neither side has inserted or flushed
+    /// an entry since one was cloned or restored from the other) already
+    /// holds `src`'s entries, and only the statistics are copied.
+    /// Otherwise the rewound TLB takes `src`'s stamp.
     pub fn restore_from(&mut self, src: &Tlb) {
-        self.entries.copy_from_slice(&src.entries);
         self.stats = src.stats;
+        if !self.stamp.matches(&src.stamp) {
+            self.entries.copy_from_slice(&src.entries);
+            self.stamp.adopt(&src.stamp);
+        }
     }
 }
 
@@ -318,6 +343,42 @@ mod tests {
         tlb.flush_all();
         tlb.insert(3, 17, pte());
         tlb
+    }
+
+    #[test]
+    fn every_entry_write_after_a_clone_makes_the_restore_rewind() {
+        let writes: [(&str, fn(&mut Tlb)); 3] = [
+            ("insert", |t| t.insert(1, 40, pte())),
+            ("flush_page", |t| t.flush_page(17)),
+            ("flush_all", |t| t.flush_all()),
+        ];
+        for (name, write) in writes {
+            let mut t = warmed();
+            let snap = t.clone();
+            assert!(t.stamp.matches(&snap.stamp), "{name}");
+            write(&mut t);
+            assert!(verdict(&t, &snap).is_some(), "{name} changed nothing");
+            t.restore_from(&snap);
+            assert_eq!(verdict(&t, &snap), None, "{name}");
+            assert!(t.stamp.matches(&snap.stamp), "{name}");
+        }
+    }
+
+    #[test]
+    fn restore_between_stamped_tlbs_still_copies_the_stats() {
+        let mut t = warmed();
+        let snap = t.clone();
+        t.lookup(3, 17);
+        t.lookup(0, 99);
+        t.note_hit();
+        assert!(t.stamp.matches(&snap.stamp), "lookups write no entry");
+        t.restore_from(&snap);
+        assert_eq!(verdict(&t, &snap), None);
+        // Two unstamped TLBs with different entries rewind fully.
+        let (mut a, b) = (Tlb::new(), warmed());
+        a.insert(2, 5, pte());
+        a.restore_from(&b);
+        assert_eq!(verdict(&a, &b), None);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! "mark mapping secret" hypercall, and exposes `vmfunc`.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::diff::{same, Divergence};
 
@@ -165,9 +166,15 @@ impl Ept {
 }
 
 /// The hypervisor's list of EPTs plus the active pointer.
+///
+/// The tables are shared copy-on-write: a clone (a machine snapshot)
+/// copies one pointer, and the first table write after it — a demand
+/// fill, [`Self::mark_secret`], [`Self::ept_mut`] — copies the list. A
+/// `vmfunc` switch writes only the active pointer and the switch count,
+/// so a VMFUNC victim's snapshots keep sharing one list.
 #[derive(Debug, Clone)]
 pub struct EptSet {
-    epts: Vec<Ept>,
+    epts: Rc<Vec<Ept>>,
     active: usize,
     /// When `true`, unpopulated slots fault into on-demand identity
     /// mappings (like Dune's demand-fill) rather than violating.
@@ -188,7 +195,7 @@ impl EptSet {
     pub fn new(count: usize, demand_fill: bool) -> Self {
         assert!((1..=MAX_EPTS).contains(&count), "EPTP list size {count}");
         Self {
-            epts: (0..count).map(|_| Ept::default()).collect(),
+            epts: Rc::new((0..count).map(|_| Ept::default()).collect()),
             active: 0,
             demand_fill,
             switches: 0,
@@ -209,7 +216,7 @@ impl EptSet {
     /// fill policy and the switch counter) into `d`.
     pub fn digest_into(&self, d: &mut crate::digest::Digest) {
         d.write_u64(self.epts.len() as u64);
-        for ept in &self.epts {
+        for ept in self.epts.iter() {
             ept.digest_into(d);
         }
         d.write_u64(self.active as u64);
@@ -222,8 +229,10 @@ impl EptSet {
     /// switch counter.
     pub(crate) fn compare(&self, other: &EptSet) -> Result<(), Divergence> {
         same("EPT count", self.epts.len() as u64, other.epts.len() as u64)?;
-        for (i, (a, b)) in self.epts.iter().zip(&other.epts).enumerate() {
-            a.compare(b, i)?;
+        if !Rc::ptr_eq(&self.epts, &other.epts) {
+            for (i, (a, b)) in self.epts.iter().zip(other.epts.iter()).enumerate() {
+                a.compare(b, i)?;
+            }
         }
         same("active EPT", self.active as u64, other.active as u64)?;
         same(
@@ -251,21 +260,35 @@ impl EptSet {
         true
     }
 
-    /// Accesses EPT `index` mutably (hypervisor-side operation).
+    /// Accesses EPT `index` mutably (hypervisor-side operation). Copies
+    /// the table list first while a clone still shares it.
     pub fn ept_mut(&mut self, index: usize) -> &mut Ept {
-        &mut self.epts[index]
+        &mut Rc::make_mut(&mut self.epts)[index]
     }
 
     /// Marks `gpfn` secret to EPT `owner`: mapped there, denied everywhere
     /// else. This is the hypercall MemSentry adds to Dune (paper §5.1).
     pub fn mark_secret(&mut self, gpfn: u64, owner: usize) {
-        for (i, ept) in self.epts.iter_mut().enumerate() {
+        for (i, ept) in Rc::make_mut(&mut self.epts).iter_mut().enumerate() {
             if i == owner {
                 ept.map(gpfn, EptEntry::identity(gpfn));
             } else {
                 ept.deny(gpfn);
             }
         }
+    }
+
+    /// Rewinds `self` to `src`: re-points the table list unless the two
+    /// already share it, and copies the active pointer, the fill policy
+    /// and the switch count. The allocation-free counterpart of
+    /// `*self = src.clone()`.
+    pub fn restore_from(&mut self, src: &EptSet) {
+        if !Rc::ptr_eq(&self.epts, &src.epts) {
+            self.epts.clone_from(&src.epts);
+        }
+        self.active = src.active;
+        self.demand_fill = src.demand_fill;
+        self.switches = src.switches;
     }
 
     /// Translates `gpfn` through the active EPT.
@@ -275,8 +298,7 @@ impl EptSet {
             access,
             ept_index: self.active,
         };
-        let ept = &mut self.epts[self.active];
-        match ept.lookup(gpfn) {
+        match self.epts[self.active].lookup(gpfn) {
             Some(Some(entry)) => {
                 if entry.permits(access) {
                     Ok(entry.hpfn)
@@ -288,7 +310,8 @@ impl EptSet {
             None => {
                 if self.demand_fill {
                     // Dune-style: populate an identity mapping on fault.
-                    ept.map(gpfn, EptEntry::identity(gpfn));
+                    self.ept_mut(self.active)
+                        .map(gpfn, EptEntry::identity(gpfn));
                     Ok(gpfn)
                 } else {
                     Err(violation)
@@ -375,6 +398,40 @@ mod tests {
         EptSet::new(MAX_EPTS + 1, true);
     }
 
+    #[test]
+    fn table_writes_to_a_clone_leave_the_original_intact() {
+        let mut base = EptSet::new(2, true);
+        base.translate(0x10, EptAccess::Read).unwrap();
+        base.mark_secret(0x40, 1);
+        base.vmfunc_switch(1);
+        let before = digest(&base);
+        // A switch writes no table: the clone keeps sharing them.
+        let mut switched = base.clone();
+        switched.vmfunc_switch(0);
+        assert!(Rc::ptr_eq(&switched.epts, &base.epts));
+        // A demand fill, mark_secret and ept_mut each copy them first.
+        let mut filled = base.clone();
+        assert_eq!(filled.translate(0x20, EptAccess::Write), Ok(0x20));
+        let mut marked = base.clone();
+        marked.mark_secret(0x10, 0);
+        let mut mapped = base.clone();
+        mapped.ept_mut(0).map(0x30, EptEntry::identity(0x31));
+        for (name, s) in [("fill", &filled), ("secret", &marked), ("map", &mapped)] {
+            assert!(!Rc::ptr_eq(&s.epts, &base.epts), "{name}");
+            assert!(verdict(s, &base).is_some(), "{name}");
+        }
+        assert_eq!(digest(&base), before);
+        assert_eq!(base.epts[1].lookup(0x20), None);
+        assert_eq!(base.epts[1].lookup(0x10), None, "not denied");
+        assert_eq!(base.epts[0].lookup(0x30), None);
+        // A restore re-points every copy to the original's tables.
+        for mut s in [switched, filled, marked, mapped] {
+            s.restore_from(&base);
+            assert_eq!(verdict(&s, &base), None);
+            assert!(Rc::ptr_eq(&s.epts, &base.epts));
+        }
+    }
+
     fn digest(set: &EptSet) -> u64 {
         let mut d = crate::digest::Digest::new();
         set.digest_into(&mut d);
@@ -399,40 +456,42 @@ mod tests {
         base.mark_secret(0x40, 1);
         base.vmfunc_switch(1);
         let rows: [Mutation<EptSet>; 11] = [
-            ("EPT count", |s| s.epts.push(Ept::default())),
+            ("EPT count", |s| {
+                Rc::make_mut(&mut s.epts).push(Ept::default())
+            }),
             ("EPT 0 gpfn 0x7 populated", |s| {
-                s.epts[0].map(7, EptEntry::identity(7))
+                s.ept_mut(0).map(7, EptEntry::identity(7))
             }),
             ("EPT 0 gpfn 0x40 populated", |s| {
-                s.epts[0].entries.remove(&0x40);
+                s.ept_mut(0).entries.remove(&0x40);
             }),
             ("EPT 0 gpfn 0x40 mapped", |s| {
-                s.epts[0].map(0x40, EptEntry::identity(0x40))
+                s.ept_mut(0).map(0x40, EptEntry::identity(0x40))
             }),
-            ("EPT 1 gpfn 0x40 mapped", |s| s.epts[1].deny(0x40)),
+            ("EPT 1 gpfn 0x40 mapped", |s| s.ept_mut(1).deny(0x40)),
             ("EPT 1 gpfn 0x40 hpfn", |s| {
-                s.epts[1].map(0x40, EptEntry::identity(0x41))
+                s.ept_mut(1).map(0x40, EptEntry::identity(0x41))
             }),
             ("EPT 1 gpfn 0x40 read", |s| {
                 let entry = EptEntry {
                     read: false,
                     ..EptEntry::identity(0x40)
                 };
-                s.epts[1].map(0x40, entry)
+                s.ept_mut(1).map(0x40, entry)
             }),
             ("EPT 1 gpfn 0x40 write", |s| {
                 let entry = EptEntry {
                     write: false,
                     ..EptEntry::identity(0x40)
                 };
-                s.epts[1].map(0x40, entry)
+                s.ept_mut(1).map(0x40, entry)
             }),
             ("EPT 1 gpfn 0x40 exec", |s| {
                 let entry = EptEntry {
                     exec: false,
                     ..EptEntry::identity(0x40)
                 };
-                s.epts[1].map(0x40, entry)
+                s.ept_mut(1).map(0x40, entry)
             }),
             ("active EPT", |s| s.active = 0),
             ("EPT switches", |s| s.switches += 1),

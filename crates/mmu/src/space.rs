@@ -911,12 +911,21 @@ impl AddressSpace {
     /// either timeline. The physical frame table's blocks of 64 frame
     /// slots and the cache chunks are shared copy-on-write between
     /// clones, so only the blocks and chunks whose pointers differ from
-    /// `src`'s are re-pointed, and nothing is copied; a restore with
-    /// nothing to re-point costs a pointer compare per block and per
-    /// chunk. The small fixed-size components (TLB, views, `pkru`, EPTs,
+    /// `src`'s are re-pointed, and nothing is copied.
+    ///
+    /// Each cache level and the TLB carry a sharing stamp that a clone
+    /// shares and every write to the table clears. A level or TLB whose
+    /// stamp equals `src`'s still holds `src`'s chunk pointers or
+    /// entries and is skipped unread; otherwise the level costs a
+    /// pointer compare per chunk, the TLB a copy of its 64 entries, and
+    /// both take `src`'s stamp. The EPT list is shared copy-on-write
+    /// too and re-pointed only when it differs. So a restore onto a
+    /// space that has only computed since it last shared `src`'s tables
+    /// costs a pointer compare per block of frame slots and little else.
+    /// The small fixed-size components (views, `pkru`, the active EPT,
     /// translation memo, counters) are copied wholesale. Apart from the
-    /// mutation generation, which moves past both timelines' values, the
-    /// result equals `src.clone()`.
+    /// mutation generation, which moves past both timelines' values, and
+    /// the sharing stamps, the result equals `src.clone()`.
     pub fn restore_from(&mut self, src: &AddressSpace) {
         self.pm.restore_from(&src.pm);
         self.cache.restore_from(&src.cache);
@@ -924,7 +933,10 @@ impl AddressSpace {
         self.views.clone_from(&src.views);
         self.active_view = src.active_view;
         self.pkru = src.pkru;
-        self.ept.clone_from(&src.ept);
+        match (&mut self.ept, &src.ept) {
+            (Some(ept), Some(src)) => ept.restore_from(src),
+            (ept, src) => ept.clone_from(src),
+        }
         self.mprotect_calls = src.mprotect_calls;
         self.memo = src.memo;
         self.ept_epoch = src.ept_epoch;
@@ -1651,5 +1663,18 @@ mod tests {
         rewound.restore_from(&base);
         assert_eq!(verdict(&rewound, &base), None);
         assert_eq!(verdict(&busy_space(), &base), None);
+        // Different cache and TLB sharing stamps (and EPT sharing): one
+        // space stamped by a clone, one never stamped, one stamped apart.
+        let stamped = base.clone();
+        let fresh = busy_space();
+        let apart = busy_space();
+        let _ = apart.clone();
+        let ids = |s: &AddressSpace| (s.cache.stamp_ids(), s.tlb.stamp_id());
+        assert_eq!(ids(&fresh), ([0; 3], 0));
+        assert!(ids(&stamped).0.iter().all(|&id| id != 0));
+        assert_ne!(ids(&stamped), ids(&apart));
+        for (a, b) in [(&stamped, &fresh), (&stamped, &apart), (&apart, &fresh)] {
+            assert_eq!(verdict(a, b), None);
+        }
     }
 }

@@ -18,6 +18,8 @@
 //! run in [`Machine`]'s cold op body here. The original [`Program`] is
 //! kept (immutable) for code-pointer range checks and introspection.
 
+use std::rc::Rc;
+
 use memsentry_aes::{Block, RegionCipher};
 use memsentry_ir::{AluOp, CodeAddr, FuncId, Program, Reg};
 use memsentry_mmu::diff::{same, same_opt};
@@ -149,7 +151,10 @@ pub struct Machine {
     syscall: Option<Box<dyn SyscallHandler>>,
     hypercall: Option<Box<dyn HypercallHandler>>,
     in_vm: bool,
-    heap: Option<Box<dyn HeapPolicy>>,
+    /// Shared copy-on-write with snapshots: an `Alloc`/`Free` copies the
+    /// policy (through [`HeapPolicy::box_clone`]) only while a snapshot
+    /// still shares it.
+    heap: Option<Rc<dyn HeapPolicy>>,
     cipher: Option<RegionCipher>,
     keys_in_xmm: bool,
     pub(crate) last_masked: Option<Reg>,
@@ -168,6 +173,17 @@ pub struct Machine {
     domain_closure: Option<DomainClosure>,
     preempt: Option<PreemptState>,
     forced_alloc_failures: u64,
+}
+
+/// The installed heap policy for a write, copied first (through
+/// [`HeapPolicy::box_clone`]) while a snapshot still shares it;
+/// [`Trap::Reentrancy`] if no policy is installed.
+fn heap_for_write(heap: &mut Option<Rc<dyn HeapPolicy>>) -> Result<&mut dyn HeapPolicy, Trap> {
+    let heap = heap.as_mut().ok_or(Trap::Reentrancy { resource: "heap" })?;
+    if Rc::get_mut(heap).is_none() {
+        *heap = Rc::from(heap.box_clone());
+    }
+    Ok(Rc::get_mut(heap).expect("an unshared heap"))
 }
 
 /// How one fired event resolved inside the poll: actually delivered
@@ -237,7 +253,7 @@ impl Machine {
             syscall: Some(Box::new(DefaultKernel::new())),
             hypercall: None,
             in_vm: false,
-            heap: Some(Box::new(BumpAllocator::new())),
+            heap: Some(Rc::new(BumpAllocator::new())),
             cipher: None,
             keys_in_xmm: false,
             last_masked: None,
@@ -333,7 +349,7 @@ impl Machine {
 
     /// Replaces the heap allocator policy.
     pub fn set_heap(&mut self, heap: Box<dyn HeapPolicy>) {
-        self.heap = Some(heap);
+        self.heap = Some(Rc::from(heap));
     }
 
     /// Replaces the instruction budget: the machine traps with
@@ -667,28 +683,18 @@ impl Machine {
             }
             COp::Alloc { size, .. } => {
                 let size = self.regs[size.index()];
-                let mut heap = self
-                    .heap
-                    .take()
-                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
-                let ptr = if self.forced_alloc_failures > 0 {
+                let ptr = if self.heap.is_some() && self.forced_alloc_failures > 0 {
                     self.forced_alloc_failures -= 1;
                     None
                 } else {
-                    heap.alloc(&mut self.space, size)
+                    heap_for_write(&mut self.heap)?.alloc(&mut self.space, size)
                 };
-                self.heap = Some(heap);
                 self.stats.allocator_calls += 1;
                 self.regs[Reg::Rax.index()] = ptr.ok_or(Trap::OutOfMemory)?;
             }
             COp::Free { ptr, .. } => {
                 let p = self.regs[ptr.index()];
-                let mut heap = self
-                    .heap
-                    .take()
-                    .ok_or(Trap::Reentrancy { resource: "heap" })?;
-                heap.free(&mut self.space, p);
-                self.heap = Some(heap);
+                heap_for_write(&mut self.heap)?.free(&mut self.space, p);
                 self.stats.allocator_calls += 1;
             }
             COp::VmFunc { eptp, .. } => {
@@ -1113,12 +1119,16 @@ impl Machine {
     /// constant or cost-inert, and stay on the machine across restores.
     ///
     /// The address space is cloned copy-on-write: the snapshot shares
-    /// the physical frame table's blocks of 64 frame slots, every frame
-    /// and every cache chunk with the machine, so taking one costs a
-    /// pointer copy per block and per 64-set cache chunk. The machine's
-    /// next write to a shared frame copies just its block's 64 slot
-    /// pointers and that frame, and one to a shared chunk just that
-    /// chunk.
+    /// the physical frame table's blocks of 64 frame slots, every frame,
+    /// every cache chunk and the EPT list with the machine, so taking one
+    /// costs a pointer copy per block and per 64-set cache chunk. The
+    /// machine's next write to a shared frame copies just its block's 64
+    /// slot pointers and that frame, one to a shared chunk just that
+    /// chunk, and one to the EPT tables the list. The heap policy is
+    /// shared too; the next `Alloc`/`Free` copies it. Each cache level
+    /// and the TLB gets a sharing stamp that the snapshot shares until
+    /// the machine writes to that table, which lets [`Self::restore`]
+    /// skip it (see [`AddressSpace::restore_from`]).
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             space: self.space.clone(),
@@ -1136,7 +1146,7 @@ impl Machine {
             forced_alloc_failures: self.forced_alloc_failures,
             threads: self.threads.clone(),
             active_thread: self.active_thread,
-            heap: self.heap.as_ref().map(|h| h.box_clone()),
+            heap: self.heap.clone(),
             cipher: self.cipher.clone(),
         }
     }
@@ -1150,11 +1160,16 @@ impl Machine {
     /// The address space rewinds through [`AddressSpace::restore_from`]:
     /// blocks of frame slots and cache chunks already shared with the
     /// snapshot stay, and only those written since (or never shared) are
-    /// re-pointed to the snapshot's, so a restore costs a pointer compare
-    /// per block of 64 frames and per cache chunk and copies no frame or
-    /// cache contents. The mutation generation moves past both
-    /// timelines', which orphans every inline-cache slot stamped before
-    /// the restore.
+    /// re-pointed to the snapshot's, so a restore copies no frame or
+    /// cache contents. A cache level or TLB that still carries the
+    /// snapshot's sharing stamp is skipped without a look, so a restore
+    /// onto a machine that has only computed since it last shared the
+    /// snapshot's tables costs a pointer compare per block of 64 frames
+    /// and the scalar copies. The heap policy is re-pointed unless the
+    /// machine still shares the snapshot's, and the thread table is
+    /// copied into its existing allocation. The mutation generation
+    /// moves past both timelines', which orphans every inline-cache slot
+    /// stamped before the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.space.restore_from(&snap.space);
         self.regs = snap.regs;
@@ -1169,9 +1184,15 @@ impl Machine {
         self.in_enclave = snap.in_enclave;
         self.syscall_passthrough = snap.syscall_passthrough;
         self.forced_alloc_failures = snap.forced_alloc_failures;
-        self.threads = snap.threads.clone();
+        self.threads.clone_from(&snap.threads);
         self.active_thread = snap.active_thread;
-        self.heap = snap.heap.as_ref().map(|h| h.box_clone());
+        let shared = match (&self.heap, &snap.heap) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        if !shared {
+            self.heap.clone_from(&snap.heap);
+        }
         self.cipher = snap.cipher.clone();
         self.events = None;
         self.signal_frames.clear();
@@ -1305,13 +1326,14 @@ impl Machine {
     /// digest ignores (inline caches, the translation memo, the cache's
     /// same-line memo, hit telemetry, frame and chunk sharing), so
     /// `a.diff(b).is_none()` holds exactly when the digests are equal,
-    /// short of a hash collision. The heaps are compared by their
-    /// [`HeapPolicy::digest_into`] streams.
+    /// short of a hash collision. Heaps the two do not share are
+    /// compared by their [`HeapPolicy::digest_into`] streams.
     ///
-    /// Nothing is hashed but the heap policy: frames and cache chunks
-    /// the two machines share copy-on-write (both restored from one
-    /// recording, say) are equal unread, so the comparison costs what
-    /// the two wrote since, not the size of the machine.
+    /// Nothing is hashed but an unshared heap policy: the policy, frames,
+    /// cache chunks and EPT tables the two machines share copy-on-write
+    /// (both restored from one recording, say) are equal unread, so the
+    /// comparison costs what the two wrote since, not the size of the
+    /// machine.
     pub fn diff(&self, other: &Machine) -> Option<Divergence> {
         self.compare(other).err()
     }
@@ -1435,17 +1457,17 @@ impl Machine {
             self.preempt_active() as u64,
             other.preempt_active() as u64,
         )?;
-        let heap = |m: &Machine| {
-            m.heap.as_ref().map(|h| {
-                let mut d = memsentry_mmu::Digest::new();
-                h.digest_into(&mut d);
-                d.finish()
-            })
-        };
-        let (a, b) = (heap(self), heap(other));
-        same("heap", a.is_some() as u64, b.is_some() as u64)?;
-        if let (Some(a), Some(b)) = (a, b) {
-            same("heap digest", a, b)?;
+        match (&self.heap, &other.heap) {
+            (Some(a), Some(b)) if !Rc::ptr_eq(a, b) => {
+                let digest = |h: &Rc<dyn HeapPolicy>| {
+                    let mut d = memsentry_mmu::Digest::new();
+                    h.digest_into(&mut d);
+                    d.finish()
+                };
+                same("heap digest", digest(a), digest(b))?;
+            }
+            // A policy both share is equal unhashed.
+            (a, b) => same("heap", a.is_some() as u64, b.is_some() as u64)?,
         }
         self.space.diff(&other.space).map_or(Ok(()), Err)
     }
@@ -1456,10 +1478,14 @@ impl Machine {
 /// statistics, threads, heap policy and cipher. Created by
 /// [`Machine::snapshot`], consumed (repeatedly, in any order with other
 /// snapshots) by [`Machine::restore`]. Physical frames, the frame
-/// table's blocks of slots and cache chunks are shared copy-on-write with
-/// the machine and with other snapshots: a write after the capture copies
-/// the frame and block, or the chunk, it touches, so a snapshot never
-/// changes.
+/// table's blocks of slots, cache chunks, the EPT list and the heap
+/// policy are shared copy-on-write with the machine and with other
+/// snapshots: a write after the capture copies the frame and block, the
+/// chunk, the list or the policy it touches, so a snapshot never
+/// changes. Its cache levels and TLB carry the sharing stamps they had
+/// at capture; the machine keeps them until it writes to those tables,
+/// and a restore between the two skips every table still stamped
+/// alike.
 #[derive(Debug)]
 pub struct MachineSnapshot {
     space: AddressSpace,
@@ -1477,7 +1503,7 @@ pub struct MachineSnapshot {
     forced_alloc_failures: u64,
     threads: Vec<ThreadCtx>,
     active_thread: usize,
-    heap: Option<Box<dyn HeapPolicy>>,
+    heap: Option<Rc<dyn HeapPolicy>>,
     cipher: Option<RegionCipher>,
 }
 
@@ -1807,6 +1833,60 @@ mod tests {
         });
         assert_eq!(out.expect_exit(), 77);
         assert_eq!(m.stats().allocator_calls, 1);
+    }
+
+    #[test]
+    fn the_heap_is_shared_copy_on_write_with_snapshots() {
+        let mut b = FunctionBuilder::new("main");
+        b.push(Inst::MovImm {
+            dst: Reg::Rdi,
+            imm: 64,
+        });
+        b.push(Inst::Alloc { size: Reg::Rdi });
+        b.push(Inst::Alloc { size: Reg::Rdi });
+        b.push(Inst::Free { ptr: Reg::Rax });
+        b.push(Inst::Halt);
+        let mut p = Program::new();
+        p.add_function(b.finish());
+        let heap_of = |h: &Option<Rc<dyn HeapPolicy>>| {
+            let heap = h.as_ref().expect("a heap");
+            let mut d = memsentry_mmu::Digest::new();
+            heap.digest_into(&mut d);
+            (heap.live_bytes(), d.finish())
+        };
+        let mut m = Machine::new(p.clone());
+        let snap = m.snapshot();
+        let shared =
+            |m: &Machine| Rc::ptr_eq(m.heap.as_ref().unwrap(), snap.heap.as_ref().unwrap());
+        assert!(shared(&m));
+        let pristine = heap_of(&snap.heap);
+        m.run_until(2).unwrap();
+        let first = m.regs[Reg::Rax.index()];
+        assert!(!shared(&m), "the alloc copied the policy");
+        assert_eq!(heap_of(&snap.heap), pristine);
+        assert_eq!(heap_of(&m.heap).0, 64);
+        // A restore re-points the policy; an alloc after it leaves the
+        // snapshot's unchanged and hands out the same block again.
+        m.restore(&snap);
+        assert!(shared(&m));
+        m.run_until(3).unwrap();
+        assert_eq!(heap_of(&snap.heap), pristine);
+        assert_eq!(heap_of(&m.heap).0, 128);
+        m.restore(&snap);
+        m.run_until(2).unwrap();
+        assert_eq!(m.regs[Reg::Rax.index()], first);
+        // Two restores from one snapshot give equal heaps, also after
+        // running the rest of the program.
+        let mut twin = Machine::new(p);
+        m.restore(&snap);
+        twin.restore(&snap);
+        assert_eq!(heap_of(&m.heap), heap_of(&twin.heap));
+        m.run().expect_exit();
+        twin.run().expect_exit();
+        assert_eq!(heap_of(&m.heap), heap_of(&twin.heap));
+        assert_eq!(heap_of(&m.heap).0, 64);
+        assert_eq!(m.diff(&twin), None);
+        assert_eq!(heap_of(&snap.heap), pristine);
     }
 
     #[test]
@@ -3206,7 +3286,7 @@ mod tests {
         row(
             "heap digest",
             Box::new(|m| {
-                let heap = m.heap.as_mut().unwrap();
+                let heap = heap_for_write(&mut m.heap).unwrap();
                 heap.alloc(&mut m.space, 16).unwrap();
             }),
         );
@@ -3259,6 +3339,17 @@ mod tests {
             .space
             .poke(VirtAddr(0x7000), &0x7000u64.to_le_bytes()));
         assert_eq!(verdict(&copied, &base), None);
+        // A heap policy copied off a snapshot without a change, and
+        // sharing stamps set by a snapshot against none at all.
+        let mut stamped = busy_machine(MachineConfig::default());
+        let snap = stamped.snapshot();
+        assert_eq!(verdict(&stamped, &base), None);
+        heap_for_write(&mut stamped.heap).unwrap();
+        assert!(!Rc::ptr_eq(
+            stamped.heap.as_ref().unwrap(),
+            snap.heap.as_ref().unwrap()
+        ));
+        assert_eq!(verdict(&stamped, &base), None);
         // Runs that stay equal stay equal.
         let (mut a, mut b) = (cold, busy_machine(MachineConfig::default()));
         a.run_until(7).unwrap();

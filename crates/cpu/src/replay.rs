@@ -81,9 +81,13 @@ pub struct Recording {
     /// Retired-instruction count when capture started; boundary `b`
     /// corresponds to absolute instruction index `start + b`.
     start: u64,
-    /// `(boundary, snapshot)` pairs in increasing boundary order;
-    /// index 0 is always `(0, start snapshot)`.
-    checkpoints: Vec<(u64, MachineSnapshot)>,
+    /// The boundary of each checkpoint, increasing; index 0 is always
+    /// boundary 0. Kept apart from the snapshots so that a seek's search
+    /// reads dense 8-byte keys, not one snapshot-sized stride per probe.
+    checkpoint_boundaries: Vec<u64>,
+    /// The checkpoint snapshots, index-parallel with
+    /// `checkpoint_boundaries`; index 0 is the start snapshot.
+    checkpoints: Vec<MachineSnapshot>,
     /// The machine's live schedule state (one-shot cursor + stream
     /// cursors) cloned at each checkpoint, index-parallel with
     /// `checkpoints`. `None` when the run had no schedule installed.
@@ -118,7 +122,8 @@ impl Recording {
         if !events.is_empty() {
             m.set_event_schedule(EventSchedule::new(events.to_vec()));
         }
-        let mut checkpoints = vec![(0u64, m.snapshot())];
+        let mut checkpoint_boundaries = vec![0u64];
+        let mut checkpoints = vec![m.snapshot()];
         let mut checkpoint_schedules = vec![m.event_schedule().cloned()];
         let mut boundary_cycles = vec![m.cycles()];
         let outcome = loop {
@@ -135,12 +140,14 @@ impl Recording {
                 && m.signal_depth() == 0
                 && !m.preempt_active()
             {
-                checkpoints.push((boundary, m.snapshot()));
+                checkpoint_boundaries.push(boundary);
+                checkpoints.push(m.snapshot());
                 checkpoint_schedules.push(m.event_schedule().cloned());
             }
         };
         Recording {
             start,
+            checkpoint_boundaries,
             checkpoints,
             checkpoint_schedules,
             boundary_cycles,
@@ -193,7 +200,7 @@ impl Recording {
     ///
     /// Panics if `boundary > boundaries()`.
     pub fn nearest_checkpoint(&self, boundary: u64) -> &MachineSnapshot {
-        &self.checkpoints[self.nearest_checkpoint_index(boundary)].1
+        &self.checkpoints[self.nearest_checkpoint_index(boundary)]
     }
 
     /// Index into the checkpoint stream of the nearest checkpoint at or
@@ -204,15 +211,11 @@ impl Recording {
             "boundary {boundary} past end {}",
             self.boundaries()
         );
-        match self
-            .checkpoints
-            .binary_search_by_key(&boundary, |(b, _)| *b)
-        {
-            Ok(i) => i,
-            // The start snapshot sits at boundary 0, so the insertion
-            // point is never 0 for a miss.
-            Err(i) => i - 1,
-        }
+        // The start snapshot sits at boundary 0, so at least one
+        // checkpoint lies at or before any boundary.
+        self.checkpoint_boundaries
+            .partition_point(|&b| b <= boundary)
+            - 1
     }
 
     /// The event schedule the run was recorded under.
@@ -227,6 +230,14 @@ impl Recording {
     /// bit-identical (see [`Machine::state_digest`]) to a from-start run
     /// stopped at the same boundary; `tests/replay.rs` property-tests
     /// that over the mutation corpus.
+    ///
+    /// The checkpoint is found by a binary search over the checkpoints'
+    /// boundaries alone, and the restore skips whatever `m` still shares
+    /// with it: cache levels and the TLB whose sharing stamps match, and
+    /// the heap policy and EPT list if they are the checkpoint's own. A
+    /// seek from one checkpoint's gap into another's, with only
+    /// computation since, thus costs little more than re-executing the
+    /// gap; see [`Machine::restore`].
     ///
     /// `m` must be the machine the recording was captured from (or a
     /// clone sharing its program and configuration); seeks may be issued
@@ -247,7 +258,7 @@ impl Recording {
             });
         }
         let idx = self.nearest_checkpoint_index(boundary);
-        m.restore(&self.checkpoints[idx].1);
+        m.restore(&self.checkpoints[idx]);
         if let Some(schedule) = &self.checkpoint_schedules[idx] {
             m.set_event_schedule(schedule.clone());
         }
@@ -625,6 +636,67 @@ mod tests {
     }
 
     #[test]
+    fn the_dense_index_serves_the_gap_of_a_skipped_checkpoint() {
+        // A signal at boundary 30 runs a handler across boundary 32, so
+        // capture skips that non-quiescent checkpoint: boundaries 32..48
+        // must be served by the one at 16.
+        let build = || {
+            let mut p = looped_program(30);
+            let mut h = FunctionBuilder::new("handler");
+            for imm in 0..6 {
+                h.push(Inst::MovImm { dst: Reg::R13, imm });
+            }
+            h.push(Inst::Syscall {
+                nr: crate::kernel::nr::SIGRETURN,
+            });
+            h.push(Inst::Halt);
+            let handler = p.add_function(h.finish());
+            let mut m = Machine::new(p);
+            m.space.map_region(
+                memsentry_mmu::VirtAddr(0x7000),
+                memsentry_mmu::PAGE_SIZE,
+                memsentry_mmu::PageFlags::rw(),
+            );
+            m.set_signal_policy(crate::events::SignalPolicy {
+                handler,
+                scrub: true,
+            });
+            m
+        };
+        let events = [Event {
+            at: 30,
+            action: EventAction::Signal,
+        }];
+        let mut m = build();
+        let rec = Recording::capture(&mut m, 16, &events);
+        assert_eq!(m.stats().signals, 1);
+        assert_eq!(&rec.checkpoint_boundaries[..3], &[0, 16, 48]);
+        assert_eq!(rec.checkpoints.len(), rec.checkpoint_boundaries.len());
+        for b in 0..=rec.boundaries() {
+            // Reference: a linear scan over the snapshots themselves.
+            let serving = rec
+                .checkpoints
+                .iter()
+                .rev()
+                .find(|snap| snap.instructions() <= rec.start() + b)
+                .unwrap();
+            let found = rec.nearest_checkpoint(b);
+            assert!(std::ptr::eq(found, serving), "boundary {b}");
+            assert_eq!(
+                found.instructions(),
+                rec.start() + rec.checkpoint_boundaries[rec.nearest_checkpoint_index(b)]
+            );
+        }
+        for b in [31, 32, 33, 40, 47, 48, 49] {
+            rec.seek(&mut m, b).unwrap();
+            let mut reference = build();
+            reference.set_event_schedule(EventSchedule::new(events.to_vec()));
+            reference.run_until(b).unwrap();
+            assert_eq!(m.diff(&reference), None, "boundary {b}");
+        }
+    }
+
+    #[test]
     fn seek_past_end_errors_cleanly() {
         let mut m = machine(4);
         let rec = Recording::capture(&mut m, 16, &[]);
@@ -786,10 +858,10 @@ mod tests {
             let mut m = machine(30);
             let mut rec = Recording::capture(&mut m, 16, &[]);
             assert!(rec.checkpoint_count() > 3);
-            let (from, to) = (rec.checkpoints[2].0, rec.checkpoints[3].0);
-            m.restore(&rec.checkpoints[2].1);
+            let (from, to) = (rec.checkpoint_boundaries[2], rec.checkpoint_boundaries[3]);
+            m.restore(&rec.checkpoints[2]);
             tamper(&mut m);
-            rec.checkpoints[2].1 = m.snapshot();
+            rec.checkpoints[2] = m.snapshot();
             let report = crash_sweep(&rec, &mut m, &mut machine(30)).unwrap();
             let expected: Vec<CrashViolation> = (from..to)
                 .map(|boundary| CrashViolation {

@@ -181,6 +181,18 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     .map_err(|_| format!("bad number '{s}'"))
 }
 
+/// `--region <bytes>`, decimal or `0x` hex like every numeric flag;
+/// 4096 when absent. Anything else is rejected with a diagnostic.
+fn region_flag(args: &[String]) -> Result<u64, ExitCode> {
+    match flag(args, "--region") {
+        None => Ok(4096),
+        Some(s) => parse_u64(&s).map_err(|_| {
+            eprintln!("bad --region '{s}' (want a byte count, decimal or 0x hex)");
+            ExitCode::FAILURE
+        }),
+    }
+}
+
 /// One parsed `--inject` spec: a one-shot event or a stream source.
 #[derive(Clone, Copy)]
 enum InjectSpec {
@@ -546,9 +558,10 @@ fn replay_cmd(args: &[String], mut program: Program, opts: &RunOptions) -> ExitC
                     return ExitCode::FAILURE;
                 }
             };
-            let region = flag(args, "--region")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4096);
+            let region = match region_flag(args) {
+                Ok(region) => region,
+                Err(code) => return code,
+            };
             let fw = MemSentry::new(technique, region);
             if let Err(e) = fw.instrument(&mut program, application) {
                 eprintln!("instrumentation failed: {e}");
@@ -958,9 +971,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let region = flag(&args, "--region")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4096);
+            let region = match region_flag(&args) {
+                Ok(region) => region,
+                Err(code) => return code,
+            };
             let framework = MemSentry::new(technique, region);
             println!(
                 "# technique {} / application {:?} / region {:#x}+{:#x}",

@@ -210,6 +210,23 @@ fn protect_runs_under_each_technique() {
 }
 
 #[test]
+fn region_takes_hex_and_rejects_garbage() {
+    let (ok, text) = run(&["protect", PRIV_DEMO, "-t", "mpk", "--region", "0x100"]);
+    assert!(ok, "{text}");
+    assert!(text.contains("+0x100\n"), "{text}");
+    for value in ["abc", "-5", "0x", "99999999999999999999999", "12k"] {
+        for cmd in ["instrument", "protect", "replay"] {
+            let (ok, text) = run(&[cmd, PRIV_DEMO, "-t", "mpk", "--region", value, "--at", "0"]);
+            assert!(!ok, "{cmd} --region '{value}' must be rejected: {text}");
+            assert!(
+                text.contains(&format!("bad --region '{value}'")),
+                "{cmd} --region '{value}' must name the value: {text}"
+            );
+        }
+    }
+}
+
+#[test]
 fn malformed_inject_specs_are_rejected_loudly() {
     // Every malformed shape — trailing garbage after the index, a
     // missing :ARGS clause, a missing tuple field, an overflowing

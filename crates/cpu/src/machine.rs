@@ -683,6 +683,8 @@ impl Machine {
             }
             COp::Alloc { size, .. } => {
                 let size = self.regs[size.index()];
+                // Without a heap the alloc traps below and consumes no
+                // forced failure.
                 let ptr = if self.heap.is_some() && self.forced_alloc_failures > 0 {
                     self.forced_alloc_failures -= 1;
                     None
@@ -1165,9 +1167,9 @@ impl Machine {
     /// snapshot's sharing stamp is skipped without a look, so a restore
     /// onto a machine that has only computed since it last shared the
     /// snapshot's tables costs a pointer compare per block of 64 frames
-    /// and the scalar copies. The heap policy is re-pointed unless the
-    /// machine still shares the snapshot's, and the thread table is
-    /// copied into its existing allocation. The mutation generation
+    /// and the scalar copies. The heap policy is re-pointed to the
+    /// snapshot's without a copy, and the thread table is copied into
+    /// its existing allocation. The mutation generation
     /// moves past both timelines', which orphans every inline-cache slot
     /// stamped before the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
@@ -1186,13 +1188,7 @@ impl Machine {
         self.forced_alloc_failures = snap.forced_alloc_failures;
         self.threads.clone_from(&snap.threads);
         self.active_thread = snap.active_thread;
-        let shared = match (&self.heap, &snap.heap) {
-            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
-            (a, b) => a.is_none() && b.is_none(),
-        };
-        if !shared {
-            self.heap.clone_from(&snap.heap);
-        }
+        self.heap.clone_from(&snap.heap);
         self.cipher = snap.cipher.clone();
         self.events = None;
         self.signal_frames.clear();

@@ -232,11 +232,11 @@ impl Recording {
     /// that over the mutation corpus.
     ///
     /// The checkpoint is found by a binary search over the checkpoints'
-    /// boundaries alone, and the restore skips whatever `m` still shares
-    /// with it: cache levels and the TLB whose sharing stamps match, and
-    /// the heap policy and EPT list if they are the checkpoint's own. A
-    /// seek from one checkpoint's gap into another's, with only
-    /// computation since, thus costs little more than re-executing the
+    /// boundaries alone, and the restore skips the cache levels and the
+    /// TLB whose sharing stamps still match the checkpoint's and
+    /// re-points the heap policy and EPT list without copying them. A
+    /// seek whose machine has only computed since it last shared the
+    /// checkpoint's tables thus costs little more than re-executing the
     /// gap; see [`Machine::restore`].
     ///
     /// `m` must be the machine the recording was captured from (or a

@@ -171,7 +171,8 @@ impl Ept {
 /// copies one pointer, and the first table write after it — a demand
 /// fill, [`Self::mark_secret`], [`Self::ept_mut`] — copies the list. A
 /// `vmfunc` switch writes only the active pointer and the switch count,
-/// so a VMFUNC victim's snapshots keep sharing one list.
+/// so a VMFUNC victim's snapshots keep sharing one list, and a restore
+/// (`clone_from`) re-points the list without copying a table.
 #[derive(Debug, Clone)]
 pub struct EptSet {
     epts: Rc<Vec<Ept>>,
@@ -276,19 +277,6 @@ impl EptSet {
                 ept.deny(gpfn);
             }
         }
-    }
-
-    /// Rewinds `self` to `src`: re-points the table list unless the two
-    /// already share it, and copies the active pointer, the fill policy
-    /// and the switch count. The allocation-free counterpart of
-    /// `*self = src.clone()`.
-    pub fn restore_from(&mut self, src: &EptSet) {
-        if !Rc::ptr_eq(&self.epts, &src.epts) {
-            self.epts.clone_from(&src.epts);
-        }
-        self.active = src.active;
-        self.demand_fill = src.demand_fill;
-        self.switches = src.switches;
     }
 
     /// Translates `gpfn` through the active EPT.
@@ -424,9 +412,9 @@ mod tests {
         assert_eq!(base.epts[1].lookup(0x20), None);
         assert_eq!(base.epts[1].lookup(0x10), None, "not denied");
         assert_eq!(base.epts[0].lookup(0x30), None);
-        // A restore re-points every copy to the original's tables.
+        // Cloning over a copy shares the original's tables again.
         for mut s in [switched, filled, marked, mapped] {
-            s.restore_from(&base);
+            s.clone_from(&base);
             assert_eq!(verdict(&s, &base), None);
             assert!(Rc::ptr_eq(&s.epts, &base.epts));
         }

@@ -919,7 +919,7 @@ impl AddressSpace {
     /// entries and is skipped unread; otherwise the level costs a
     /// pointer compare per chunk, the TLB a copy of its 64 entries, and
     /// both take `src`'s stamp. The EPT list is shared copy-on-write
-    /// too and re-pointed only when it differs. So a restore onto a
+    /// too, so rewinding it re-points one pointer. So a restore onto a
     /// space that has only computed since it last shared `src`'s tables
     /// costs a pointer compare per block of frame slots and little else.
     /// The small fixed-size components (views, `pkru`, the active EPT,
@@ -933,10 +933,7 @@ impl AddressSpace {
         self.views.clone_from(&src.views);
         self.active_view = src.active_view;
         self.pkru = src.pkru;
-        match (&mut self.ept, &src.ept) {
-            (Some(ept), Some(src)) => ept.restore_from(src),
-            (ept, src) => ept.clone_from(src),
-        }
+        self.ept.clone_from(&src.ept);
         self.mprotect_calls = src.mprotect_calls;
         self.memo = src.memo;
         self.ept_epoch = src.ept_epoch;
@@ -1642,6 +1639,19 @@ mod tests {
             let d = verdict(&mutated, &base).expect(component);
             assert!(d.component.starts_with(component), "{component}: {d}");
         }
+    }
+
+    #[test]
+    fn restore_rewinds_copied_ept_tables() {
+        let base = busy_space();
+        let mut s = base.clone();
+        let ept = s.ept_mut().unwrap();
+        ept.mark_secret(0x77, 1);
+        ept.ept_mut(0)
+            .map(0x78, crate::ept::EptEntry::identity(0x79));
+        assert!(verdict(&s, &base).is_some());
+        s.restore_from(&base);
+        assert_eq!(verdict(&s, &base), None);
     }
 
     #[test]

@@ -63,6 +63,8 @@ impl Stamp {
 impl Clone for Stamp {
     fn clone(&self) -> Self {
         if self.0.get() == 0 {
+            // `Relaxed`: the id publishes no other data, and `fetch_add`
+            // hands out each value once under any ordering.
             self.0.set(NEXT_ID.fetch_add(1, Ordering::Relaxed));
         }
         Stamp(Cell::new(self.0.get()))

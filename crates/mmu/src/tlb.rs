@@ -347,7 +347,8 @@ mod tests {
 
     #[test]
     fn every_entry_write_after_a_clone_makes_the_restore_rewind() {
-        let writes: [(&str, fn(&mut Tlb)); 3] = [
+        // Each row names an entry write (not a `diff` component).
+        let writes: [Mutation<Tlb>; 3] = [
             ("insert", |t| t.insert(1, 40, pte())),
             ("flush_page", |t| t.flush_page(17)),
             ("flush_all", |t| t.flush_all()),

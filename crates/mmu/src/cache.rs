@@ -208,7 +208,7 @@ impl<const A: usize> Level<A> {
                 dst.clone_from(s);
             }
         }
-        self.stamp.adopt(&src.stamp);
+        self.stamp.clone_from(&src.stamp);
     }
 }
 

@@ -11,7 +11,7 @@
 //! The invariant holds because every path that changes a stamped table
 //! clears its stamp first ([`Stamp::clear`]); a clone shares the source's
 //! id ([`Clone`]); and a restore that did rewind the table takes the
-//! source's id ([`Stamp::adopt`]). Ids come from one global counter and
+//! source's id (`clone_from`). Ids come from one global counter and
 //! are never reused, so tables that never shared contents never share an
 //! id. Stamps are memo state like the cache's same-line memo: no digest
 //! or `diff` looks at them.
@@ -51,15 +51,11 @@ impl Stamp {
     pub(crate) fn id(&self) -> u64 {
         self.0.get()
     }
-
-    /// Takes `src`'s id once the table has been made equal to `src`'s,
-    /// stamping `src` first if it had no id, as a clone does.
-    #[inline]
-    pub(crate) fn adopt(&mut self, src: &Stamp) {
-        *self = src.clone();
-    }
 }
 
+/// A clone shares the source's id, stamping the source first if it had
+/// none. `clone_from` does the same into an existing stamp: a restore
+/// that made a table equal to its source's takes the source's id so.
 impl Clone for Stamp {
     fn clone(&self) -> Self {
         if self.0.get() == 0 {
@@ -89,17 +85,17 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_adopt() {
+    fn clear_and_clone_from() {
         let a = Stamp::default();
         let mut b = a.clone();
         b.clear();
         assert!(!b.matches(&a) && !a.matches(&b));
-        b.adopt(&a);
+        b.clone_from(&a);
         assert!(b.matches(&a));
-        // Adopting from an unstamped source stamps both.
+        // Cloning from an unstamped source stamps both.
         let src = Stamp::default();
         let mut dst = Stamp::default();
-        dst.adopt(&src);
+        dst.clone_from(&src);
         assert!(dst.matches(&src));
     }
 }

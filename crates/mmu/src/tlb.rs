@@ -211,7 +211,7 @@ impl Tlb {
         self.stats = src.stats;
         if !self.stamp.matches(&src.stamp) {
             self.entries.copy_from_slice(&src.entries);
-            self.stamp.adopt(&src.stamp);
+            self.stamp.clone_from(&src.stamp);
         }
     }
 }

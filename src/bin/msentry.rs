@@ -119,7 +119,7 @@ use memsentry_repro::cpu::{
 };
 use memsentry_repro::ir::{parse_program, print::format_program, verify, FuncId, Program, Reg};
 use memsentry_repro::memsentry::{Application, MemSentry, Technique};
-use memsentry_repro::mmu::VirtAddr;
+use memsentry_repro::mmu::{VirtAddr, SENSITIVE_BASE, VA_BITS};
 
 fn technique_from(name: &str) -> Option<Technique> {
     Some(match name.to_ascii_lowercase().as_str() {
@@ -182,12 +182,15 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 }
 
 /// `--region <bytes>`, decimal or `0x` hex like every numeric flag;
-/// 4096 when absent. Anything else is rejected with a diagnostic.
+/// 4096 when absent. The region must fit in the sensitive partition it
+/// is allocated from, which also keeps every rounding of its length
+/// from overflowing. Anything else is rejected with a diagnostic.
 fn region_flag(args: &[String]) -> Result<u64, ExitCode> {
+    const MAX: u64 = (1 << VA_BITS) - SENSITIVE_BASE;
     match flag(args, "--region") {
         None => Ok(4096),
-        Some(s) => parse_u64(&s).map_err(|_| {
-            eprintln!("bad --region '{s}' (want a byte count, decimal or 0x hex)");
+        Some(s) => parse_u64(&s).ok().filter(|&len| len <= MAX).ok_or_else(|| {
+            eprintln!("bad --region '{s}' (want a byte count up to {MAX:#x}, decimal or 0x hex)");
             ExitCode::FAILURE
         }),
     }

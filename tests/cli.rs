@@ -214,7 +214,13 @@ fn region_takes_hex_and_rejects_garbage() {
     let (ok, text) = run(&["protect", PRIV_DEMO, "-t", "mpk", "--region", "0x100"]);
     assert!(ok, "{text}");
     assert!(text.contains("+0x100\n"), "{text}");
-    for value in ["abc", "-5", "0x", "99999999999999999999999", "12k"] {
+    // These fit a u64 but not the sensitive partition; rounding the
+    // first up to 16 bytes would overflow.
+    let too_big = ["0xffffffffffffffff", "0x8000000000000000", "0xc00000000001"];
+    for value in ["abc", "-5", "0x", "99999999999999999999999", "12k"]
+        .into_iter()
+        .chain(too_big)
+    {
         for cmd in ["instrument", "protect", "replay"] {
             let (ok, text) = run(&[cmd, PRIV_DEMO, "-t", "mpk", "--region", value, "--at", "0"]);
             assert!(!ok, "{cmd} --region '{value}' must be rejected: {text}");

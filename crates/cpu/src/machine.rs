@@ -1165,9 +1165,9 @@ impl Machine {
     /// re-pointed to the snapshot's, so a restore copies no frame or
     /// cache contents. A cache level or TLB that still carries the
     /// snapshot's sharing stamp is skipped without a look, so a restore
-    /// onto a machine that has only computed since it last shared the
-    /// snapshot's tables costs a pointer compare per block of 64 frames
-    /// and the scalar copies. The heap policy is re-pointed to the
+    /// onto a machine that has written no cache level and no TLB entry
+    /// since it last shared them with the snapshot costs a pointer
+    /// compare per block of 64 frames and the scalar copies. The heap policy is re-pointed to the
     /// snapshot's without a copy, and the thread table is copied into
     /// its existing allocation. The mutation generation
     /// moves past both timelines', which orphans every inline-cache slot

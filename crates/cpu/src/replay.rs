@@ -235,9 +235,9 @@ impl Recording {
     /// boundaries alone, and the restore skips the cache levels and the
     /// TLB whose sharing stamps still match the checkpoint's and
     /// re-points the heap policy and EPT list without copying them. A
-    /// seek whose machine has only computed since it last shared the
-    /// checkpoint's tables thus costs little more than re-executing the
-    /// gap; see [`Machine::restore`].
+    /// seek whose machine has written no cache level and no TLB entry
+    /// since it last shared them with the checkpoint thus costs little
+    /// more than re-executing the gap; see [`Machine::restore`].
     ///
     /// `m` must be the machine the recording was captured from (or a
     /// clone sharing its program and configuration); seeks may be issued

@@ -920,8 +920,9 @@ impl AddressSpace {
     /// pointer compare per chunk, the TLB a copy of its 64 entries, and
     /// both take `src`'s stamp. The EPT list is shared copy-on-write
     /// too, so rewinding it re-points one pointer. So a restore onto a
-    /// space that has only computed since it last shared `src`'s tables
-    /// costs a pointer compare per block of frame slots and little else.
+    /// space that has written no cache level and no TLB entry since it
+    /// last shared them with `src` costs a pointer compare per block of
+    /// frame slots and little else.
     /// The small fixed-size components (views, `pkru`, the active EPT,
     /// translation memo, counters) are copied wholesale. Apart from the
     /// mutation generation, which moves past both timelines' values, and

@@ -1127,10 +1127,12 @@ impl Machine {
     /// machine's next write to a shared frame copies just its block's 64
     /// slot pointers and that frame, one to a shared chunk just that
     /// chunk, and one to the EPT tables the list. The heap policy is
-    /// shared too; the next `Alloc`/`Free` copies it. Each cache level
-    /// and the TLB gets a sharing stamp that the snapshot shares until
-    /// the machine writes to that table, which lets [`Self::restore`]
-    /// skip it (see [`AddressSpace::restore_from`]).
+    /// shared too; the next `Alloc`/`Free` copies it. Physical memory,
+    /// each cache level and the TLB get a lineage stamp that the snapshot
+    /// shares until the machine writes to that table, and every write
+    /// marks what it wrote, which lets [`Self::restore`] skip a table or
+    /// copy back only the marked lines, sets and entries (see
+    /// [`AddressSpace::restore_from`]).
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             space: self.space.clone(),
@@ -1159,17 +1161,16 @@ impl Machine {
     /// signal frames, in-flight preemption) is cleared; install a fresh
     /// schedule after restoring to sweep the next injection point.
     ///
-    /// The address space rewinds through [`AddressSpace::restore_from`]:
-    /// blocks of frame slots and cache chunks already shared with the
-    /// snapshot stay, and only those written since (or never shared) are
-    /// re-pointed to the snapshot's, so a restore copies no frame or
-    /// cache contents. A cache level or TLB that still carries the
-    /// snapshot's sharing stamp is skipped without a look, so a restore
-    /// onto a machine that has written no cache level and no TLB entry
-    /// since it last shared them with the snapshot costs a pointer
-    /// compare per block of 64 frames and the scalar copies. The heap policy is re-pointed to the
-    /// snapshot's without a copy, and the thread table is copied into
-    /// its existing allocation. The mutation generation
+    /// The address space rewinds through [`AddressSpace::restore_from`],
+    /// per table: memory, a cache level or the TLB that still carries the
+    /// snapshot's stamp is skipped without a look; one that descends from
+    /// the snapshot (restored from it or cloned into it last) copies back
+    /// only the lines, sets and entries it marked since, into frames and
+    /// chunks it keeps for the next write; any other table re-points the
+    /// blocks and chunks it does not share with the snapshot and copies
+    /// the TLB's 64 entries. The heap policy is re-pointed to the
+    /// snapshot's without a copy, and the thread table is copied into its
+    /// existing allocation. The mutation generation
     /// moves past both timelines', which orphans every inline-cache slot
     /// stamped before the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
@@ -1478,10 +1479,10 @@ impl Machine {
 /// policy are shared copy-on-write with the machine and with other
 /// snapshots: a write after the capture copies the frame and block, the
 /// chunk, the list or the policy it touches, so a snapshot never
-/// changes. Its cache levels and TLB carry the sharing stamps they had
-/// at capture; the machine keeps them until it writes to those tables,
-/// and a restore between the two skips every table still stamped
-/// alike.
+/// changes. Its memory, cache levels and TLB carry the lineage stamps
+/// they had at capture; the machine keeps them until it writes to those
+/// tables, and a restore between the two skips every table still stamped
+/// alike and copies back only what the machine marked in the others.
 #[derive(Debug)]
 pub struct MachineSnapshot {
     space: AddressSpace,
@@ -3346,6 +3347,27 @@ mod tests {
             snap.heap.as_ref().unwrap()
         ));
         assert_eq!(verdict(&stamped, &base), None);
+        // Write marks and lineage bases: two machines rewound from one
+        // snapshot, one by copying back what a run wrote, each with kernel
+        // writes that put back the bytes they overwrote at different
+        // addresses, against each other and against machines built apart.
+        let lineage = busy_machine(MachineConfig::default());
+        let schedule = lineage.event_schedule().cloned().unwrap();
+        let snap = lineage.snapshot();
+        let (mut x, mut y) = (busy_machine(MachineConfig::default()), lineage);
+        x.restore(&snap);
+        y.space.write_u64(VirtAddr(0x7020), 5).unwrap();
+        y.restore(&snap);
+        for (m, va) in [(&mut x, 0x7000u64), (&mut y, 0x7010)] {
+            m.set_event_schedule(schedule.clone());
+            let mut word = [0u8; 8];
+            assert!(m.space.peek(VirtAddr(va), &mut word));
+            assert!(m.space.poke(VirtAddr(va), &[!word[0]]));
+            assert!(m.space.poke(VirtAddr(va), &word));
+        }
+        assert_eq!(verdict(&x, &y), None);
+        assert_eq!(verdict(&x, &base), None);
+        assert_eq!(verdict(&y, &base), None);
         // Runs that stay equal stay equal.
         let (mut a, mut b) = (cold, busy_machine(MachineConfig::default()));
         a.run_until(7).unwrap();

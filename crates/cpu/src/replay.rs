@@ -232,12 +232,13 @@ impl Recording {
     /// that over the mutation corpus.
     ///
     /// The checkpoint is found by a binary search over the checkpoints'
-    /// boundaries alone, and the restore skips the cache levels and the
-    /// TLB whose sharing stamps still match the checkpoint's and
-    /// re-points the heap policy and EPT list without copying them. A
-    /// seek whose machine has written no cache level and no TLB entry
-    /// since it last shared them with the checkpoint thus costs little
-    /// more than re-executing the gap; see [`Machine::restore`].
+    /// boundaries alone. The restore skips the memory, cache levels and
+    /// TLB whose lineage stamps still match the checkpoint's, copies back
+    /// only the marked lines, sets and entries of those that descend from
+    /// it, and re-points the heap policy and EPT list without copying
+    /// them. A seek thus costs little more than re-executing the gap and
+    /// undoing what the machine wrote since it last shared the
+    /// checkpoint's contents; see [`Machine::restore`].
     ///
     /// `m` must be the machine the recording was captured from (or a
     /// clone sharing its program and configuration); seeks may be issued

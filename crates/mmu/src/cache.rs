@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use crate::diff::{same, Divergence};
 use crate::digest::Digest;
-use crate::stamp::Stamp;
+use crate::stamp::{marked, unit_mut, Stamp, Unit};
 
 /// Cache line size in bytes.
 pub const LINE: u64 = 64;
@@ -50,10 +50,19 @@ const CHUNK_SETS: usize = 64;
 /// [`CHUNK_SETS`] consecutive sets of an `A`-way level.
 #[derive(Debug, Clone)]
 struct Chunk<const A: usize> {
+    /// The sets changed since the level's stamp base, one bit per set
+    /// (see [`crate::stamp`]). Memo state, never digested.
+    marked: u64,
     /// Each set's tags, MRU-first; only the first `lens[set]` are live.
     tags: [[u64; A]; CHUNK_SETS],
     /// Live ways per set (`<= A`).
     lens: [u8; CHUNK_SETS],
+}
+
+impl<const A: usize> Unit for Chunk<A> {
+    fn unmark(&mut self) {
+        self.marked = 0;
+    }
 }
 
 /// One set-associative LRU cache level with `A` ways.
@@ -69,10 +78,11 @@ struct Chunk<const A: usize> {
 struct Level<const A: usize> {
     chunks: Box<[Rc<Chunk<A>>]>,
     set_mask: u64,
-    /// Shared with every clone holding the same chunk pointers, cleared
-    /// by every write (see [`crate::stamp`]): a restore between two
-    /// levels with one stamp skips the chunk scan. Memo state, excluded
-    /// from the digest and `compare`.
+    /// Shared with every clone holding the same set contents, cleared by
+    /// every write, which also marks its set (see [`crate::stamp`]): a
+    /// restore between two levels with one stamp skips the chunk scan,
+    /// and one from the stamp's base copies back only the marked sets.
+    /// Memo state, excluded from the digest and from `compare`'s verdict.
     stamp: Stamp,
 }
 
@@ -87,6 +97,7 @@ impl<const A: usize> Level<A> {
         // Every chunk starts out as the same empty chunk; the first write
         // to each gives it its own copy.
         let empty = Rc::new(Chunk {
+            marked: 0,
             tags: [[0; A]; CHUNK_SETS],
             lens: [0; CHUNK_SETS],
         });
@@ -112,7 +123,8 @@ impl<const A: usize> Level<A> {
         }
         // The set is about to change, shared chunk or not.
         self.stamp.clear();
-        let chunk = Rc::make_mut(&mut self.chunks[c]);
+        let chunk = unit_mut(&mut self.chunks[c]);
+        chunk.marked |= 1 << s;
         // Move-to-front: shift the `n` tags ahead of the line's old slot
         // (or, on a miss, every live tag, the LRU tail of a full set
         // falling off) down one slot and file the line at the head. The
@@ -161,20 +173,48 @@ impl<const A: usize> Level<A> {
     /// set's live ways in MRU order. A chunk both sides share is equal
     /// unread; tags past a set's live length are never looked at. `name`
     /// (`L1`, `L2`, `L3`) prefixes the component a difference names.
+    ///
+    /// Two levels of one lineage (see [`crate::stamp`]) differ only in the
+    /// sets either one marked, so of a chunk they do not share only those
+    /// sets are compared; under `debug_assertions` the verdict is checked
+    /// against comparing every set.
     fn compare(&self, other: &Self, name: &str) -> Result<(), Divergence> {
+        if !self.stamp.same_lineage(&other.stamp) {
+            return self.compare_sets(other, name, false);
+        }
+        let verdict = self.compare_sets(other, name, true);
+        debug_assert_eq!(verdict, self.compare_sets(other, name, false));
+        verdict
+    }
+
+    /// [`Self::compare`] over the marked sets of unshared chunks when
+    /// `lineage` holds, over every set otherwise.
+    fn compare_sets(&self, other: &Self, name: &str, lineage: bool) -> Result<(), Divergence> {
         same(
             format_args!("{name} sets"),
             self.set_mask + 1,
             other.set_mask + 1,
         )?;
         for (c, (a, b)) in self.chunks.iter().zip(other.chunks.iter()).enumerate() {
-            // Equal live-way counts and equal tag rows wherever a way is
-            // live settle most unshared chunks without naming anything.
-            let rows = |s: usize| a.lens[s] == 0 || a.tags[s] == b.tags[s];
-            if Rc::ptr_eq(a, b) || (a.lens == b.lens && (0..CHUNK_SETS).all(rows)) {
+            if Rc::ptr_eq(a, b) {
                 continue;
             }
-            for s in 0..CHUNK_SETS {
+            // Equal live-way counts and equal tag rows wherever a way is
+            // live settle most unshared chunks without naming anything.
+            let row = |s: usize| a.lens[s] == 0 || a.tags[s] == b.tags[s];
+            let sets = if lineage {
+                let sets = a.marked | b.marked;
+                if marked(sets).all(|s| a.lens[s] == b.lens[s] && row(s)) {
+                    continue;
+                }
+                sets
+            } else {
+                if a.lens == b.lens && (0..CHUNK_SETS).all(row) {
+                    continue;
+                }
+                u64::MAX
+            };
+            for s in marked(sets) {
                 let set = c * CHUNK_SETS + s;
                 let (la, lb) = (a.lens[s], b.lens[s]);
                 same(
@@ -194,19 +234,36 @@ impl<const A: usize> Level<A> {
         Ok(())
     }
 
-    /// Rewinds `self` to `src` (any level of the same geometry) by
-    /// re-pointing the chunks that are not already shared with it. A
-    /// level that shares `src`'s stamp already holds its chunk pointers
-    /// and returns at once; otherwise the rewound level takes `src`'s
+    /// Rewinds `self` to `src` (any level of the same geometry). A level
+    /// that shares `src`'s stamp already holds its set contents and
+    /// returns at once. Otherwise each chunk not already shared with `src`
+    /// is rewound: when the level descends from `src` (see
+    /// [`crate::stamp`]) and owns the chunk alone, by copying back the
+    /// sets it marked, which keeps the chunk its own for the next write;
+    /// else by re-pointing it to `src`'s. The rewound level takes `src`'s
     /// stamp.
     fn restore_from(&mut self, src: &Self) {
         if self.stamp.matches(&src.stamp) {
             return;
         }
+        let lineage = self.stamp.descends_from(&src.stamp);
         for (dst, s) in self.chunks.iter_mut().zip(src.chunks.iter()) {
-            if !Rc::ptr_eq(dst, s) {
-                dst.clone_from(s);
+            if Rc::ptr_eq(dst, s) {
+                continue;
             }
+            match Rc::get_mut(dst) {
+                Some(chunk) if lineage => {
+                    for set in marked(chunk.marked) {
+                        chunk.tags[set] = s.tags[set];
+                        chunk.lens[set] = s.lens[set];
+                    }
+                    chunk.marked = 0;
+                }
+                _ => dst.clone_from(s),
+            }
+        }
+        if lineage {
+            debug_assert_eq!(self.compare_sets(src, "L", false), Ok(()));
         }
         self.stamp.clone_from(&src.stamp);
     }
@@ -221,9 +278,12 @@ const NO_LINE: u64 = u64::MAX;
 /// Cloning copies one pointer per 64-set chunk (137 in all) instead of
 /// the ~1 MiB of tags: clones share chunks until one side writes to them,
 /// and [`Self::restore_from`] rewinds to any clone by re-pointing only the
-/// chunks that differ. Each level also carries a sharing stamp that its
-/// clones share and its writes clear, so a restore skips every level
-/// that has not been written since it last shared the source's chunks.
+/// chunks that differ. Each level also carries a lineage stamp that its
+/// clones share and its writes clear, and each chunk marks the sets
+/// written since (see `mmu/src/stamp.rs`): a restore skips every level that
+/// has not been written since it last shared the source's contents, and
+/// copies back only the marked sets of a level that descends from the
+/// source.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: Level<8>,
@@ -313,7 +373,9 @@ impl CacheHierarchy {
 
     /// Compares what [`Self::digest_into`] feeds, in its order: the three
     /// levels' live set contents, then the hit counters. The same-line
-    /// memo is ignored, like the digest ignores it.
+    /// memo, the stamps and the set marks are ignored, like the digest
+    /// ignores them; levels of one lineage compare only the sets either
+    /// side marked (see [`crate::stamp`]).
     pub(crate) fn compare(&self, other: &CacheHierarchy) -> Result<(), Divergence> {
         self.l1.compare(&other.l1, "L1")?;
         self.l2.compare(&other.l2, "L2")?;
@@ -326,12 +388,14 @@ impl CacheHierarchy {
     }
 
     /// Rewinds `self` to the state of `src`, which may be any hierarchy
-    /// (typically an earlier or later clone of `self`): only the chunks
-    /// not already shared with `src` are re-pointed, and nothing is
-    /// copied. A level whose sharing stamp equals `src`'s (neither was
-    /// written since one was cloned or restored from the other) is
-    /// skipped without a look at its chunks; the hit counters are always
-    /// copied and the same-line memo is always reset.
+    /// (typically an earlier or later clone of `self`). A level whose
+    /// stamp equals `src`'s (neither was written since one was cloned or
+    /// restored from the other) is skipped without a look at its chunks.
+    /// A level that descends from `src` copies back the sets it marked
+    /// into the chunks it owns alone and keeps them (see
+    /// `mmu/src/stamp.rs`); every other chunk not already shared with `src`
+    /// is re-pointed to `src`'s. The hit counters are always copied and
+    /// the same-line memo is always reset.
     pub fn restore_from(&mut self, src: &CacheHierarchy) {
         self.l1.restore_from(&src.l1);
         self.l2.restore_from(&src.l2);
@@ -493,8 +557,14 @@ mod tests {
         }
         assert!(shared_chunks(&d, &snap).iter().flatten().all(|&s| s));
 
+        // A restore from the lineage copies set 0 back into each level's
+        // own chunk 0 and keeps it; the rest stay shared.
         c.restore_from(&snap);
-        assert!(shared_chunks(&c, &snap).iter().flatten().all(|&s| s));
+        assert_eq!(digest(&c), digest(&snap));
+        for level in &shared_chunks(&c, &snap) {
+            assert!(!level[0]);
+            assert!(level[1..].iter().all(|&s| s));
+        }
     }
 
     #[test]
@@ -518,37 +588,82 @@ mod tests {
         assert_eq!(c.stamp_ids(), [0, ids[1], ids[2]]);
     }
 
+    /// Each level's chunk 0, by address.
+    fn chunk0(c: &CacheHierarchy) -> [*const u8; 3] {
+        [
+            Rc::as_ptr(&c.l1.chunks[0]).cast(),
+            Rc::as_ptr(&c.l2.chunks[0]).cast(),
+            Rc::as_ptr(&c.l3.chunks[0]).cast(),
+        ]
+    }
+
     #[test]
-    fn a_restore_after_a_chunk_write_re_points_the_chunk() {
-        let all_shared = |a: &CacheHierarchy, b: &CacheHierarchy| {
-            shared_chunks(a, b).iter().flatten().all(|&s| s)
-        };
+    fn a_restore_from_the_lineage_copies_back_the_marked_sets() {
         let mut c = warmed();
         let snap = c.clone();
         // A miss in set 0 of every level copies each level's chunk 0.
         c.access(1 << 40);
         assert!(shared_chunks(&c, &snap).iter().all(|level| !level[0]));
+        let own = chunk0(&c);
         c.restore_from(&snap);
-        assert!(all_shared(&c, &snap));
         assert_eq!(digest(&c), digest(&snap));
         assert_eq!(
             c.stamp_ids(),
             snap.stamp_ids(),
             "the rewound levels are stamped"
         );
-        // The first write copies chunk 0; the next ones reorder that
-        // unshared copy in place.
+        assert_eq!(chunk0(&c), own, "the copies are kept");
+        // The next writes reorder those chunks in place.
         c.access(1 << 40);
         c.access((1 << 40) + 64 * LINE);
         c.access(1 << 40);
+        assert_eq!(chunk0(&c), own);
         c.restore_from(&snap);
-        assert!(all_shared(&c, &snap));
         assert_eq!(digest(&c), digest(&snap));
         // A hit that only reorders an L1 set is a write too.
         assert_eq!(c.access(5 * LINE), HitLevel::L1);
+        assert_eq!(c.stamp_ids()[0], 0);
         c.restore_from(&snap);
         assert_eq!(digest(&c), digest(&snap));
-        assert!(all_shared(&c, &snap));
+        // A source of another lineage gets every differing chunk
+        // re-pointed, the kept copies included.
+        let mut other = apart(&snap);
+        other.access(7 * LINE + (1 << 35));
+        let other = other.clone();
+        c.access(1 << 40);
+        c.restore_from(&other);
+        assert_eq!(digest(&c), digest(&other));
+        assert!(shared_chunks(&c, &other).iter().flatten().all(|&s| s));
+    }
+
+    #[test]
+    fn copy_back_needs_the_source_to_be_the_base() {
+        // `c` descends from `snap` and marks only set 0; `far` differs
+        // from `snap` in set 7, which `c` never marked.
+        let mut c = warmed();
+        let snap = c.clone();
+        let mut far = apart(&snap);
+        far.access(7 * LINE + (1 << 35));
+        let far = far.clone();
+        c.access(1 << 40);
+        c.restore_from(&far);
+        assert_eq!(digest(&c), digest(&far));
+    }
+
+    #[test]
+    fn levels_of_one_lineage_compare_their_marks_and_others_compare_all() {
+        let snap = warmed().clone();
+        let (mut a, mut b) = (snap.clone(), snap.clone());
+        a.access(9 * LINE + (1 << 35));
+        b.access(11 * LINE + (1 << 35));
+        assert_eq!(verdict(&a, &b).unwrap().component, "L1 set 0x9 ways");
+        // Set 0x21 of L1 differs on a level built apart, and neither side
+        // marked it: only the compare of every set sees it.
+        let mut c = apart(&snap);
+        let chunk = Rc::make_mut(&mut c.l1.chunks[0]);
+        chunk.lens[0x21] = 1;
+        chunk.tags[0x21][0] = 0x21;
+        assert_eq!(verdict(&c, &snap).unwrap().component, "L1 set 0x21 ways");
     }
 
     #[test]
@@ -700,16 +815,53 @@ mod tests {
             c.access((0x1045 + way * 8192) * LINE);
         }
         c.access(0x1fff * LINE);
+        // Unstamped, so no lineage: the marks so far mean nothing, and
+        // dropping them keeps a stale mark from hiding a missing one.
+        fn unmark<const A: usize>(l: &mut Level<A>) {
+            for chunk in l.chunks.iter_mut().filter_map(Rc::get_mut) {
+                chunk.marked = 0;
+            }
+        }
+        unmark(&mut c.l1);
+        unmark(&mut c.l2);
+        unmark(&mut c.l3);
         c
+    }
+
+    /// A copy of `c` outside every lineage, taken without stamping `c`:
+    /// compared with anything, it takes the compare of every set.
+    fn apart(c: &CacheHierarchy) -> CacheHierarchy {
+        fn level<const A: usize>(l: &Level<A>) -> Level<A> {
+            Level {
+                chunks: l.chunks.clone(),
+                set_mask: l.set_mask,
+                stamp: Stamp::default(),
+            }
+        }
+        CacheHierarchy {
+            l1: level(&c.l1),
+            l2: level(&c.l2),
+            l3: level(&c.l3),
+            stats: c.stats,
+            last_line: c.last_line,
+        }
     }
 
     #[test]
     fn every_digested_component_is_compared_and_named() {
-        fn tag<const A: usize>(l: &mut Level<A>, set: usize, way: usize) -> &mut u64 {
-            &mut Rc::make_mut(&mut l.chunks[set / CHUNK_SETS]).tags[set % CHUNK_SETS][way]
+        // Each write marks its set, like `Level::access`, so the compare
+        // within the lineage must find it too.
+        fn set<const A: usize>(l: &mut Level<A>, set: usize) -> &mut Chunk<A> {
+            l.stamp.clear();
+            let chunk = unit_mut(&mut l.chunks[set / CHUNK_SETS]);
+            chunk.marked |= 1 << (set % CHUNK_SETS);
+            chunk
         }
-        fn len<const A: usize>(l: &mut Level<A>, set: usize) -> &mut u8 {
-            &mut Rc::make_mut(&mut l.chunks[set / CHUNK_SETS]).lens[set % CHUNK_SETS]
+        fn tag<const A: usize>(l: &mut Level<A>, s: usize, way: usize) -> &mut u64 {
+            &mut set(l, s).tags[s % CHUNK_SETS][way]
+        }
+        fn len<const A: usize>(l: &mut Level<A>, s: usize) -> &mut u8 {
+            &mut set(l, s).lens[s % CHUNK_SETS]
         }
         let rows: [Mutation<CacheHierarchy>; 12] = [
             ("L1 sets", |c| c.l1.set_mask = 0x7f),
@@ -727,10 +879,11 @@ mod tests {
         ];
         let base = warmed();
         for (component, mutate) in rows {
-            let mut mutated = base.clone();
-            mutate(&mut mutated);
-            let d = verdict(&mutated, &base).expect(component);
-            assert_eq!(d.component, component);
+            for mut mutated in [base.clone(), apart(&base)] {
+                mutate(&mut mutated);
+                let d = verdict(&mutated, &base).expect(component);
+                assert_eq!(d.component, component);
+            }
         }
     }
 

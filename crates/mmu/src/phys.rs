@@ -20,25 +20,69 @@
 //! still shares it. Restoring and comparing skip every block both sides
 //! share, so they cost one pointer compare per block plus a look at the
 //! slots of the blocks either side wrote since.
+//!
+//! The memory carries a lineage stamp, each block marks the slots and
+//! each frame the 64-byte lines written since the stamp's base (see
+//! `mmu/src/stamp.rs`). A restore from the base copies back only the marked
+//! lines into the frames the memory owns alone and keeps them, so the next
+//! write to such a frame lands in place; a compare between two memories of
+//! one lineage reads only the marked lines.
 
 use std::rc::Rc;
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
 use crate::diff::{same, same_opt, Divergence};
 use crate::digest::Digest;
+use crate::stamp::{marked, unit_mut, Stamp, Unit};
+
+/// Bytes per marked line of a frame: a frame has 64.
+const LINE: usize = PAGE_SIZE as usize / 64;
 
 /// One materialized 4 KiB frame, shared by every clone that has not
 /// written to it since the clone was taken.
-type Frame = Rc<[u8; PAGE_SIZE as usize]>;
+#[derive(Debug, Clone)]
+struct Frame {
+    /// The lines written since the memory's stamp base, one bit per
+    /// [`LINE`] bytes. Memo state, never digested.
+    lines: u64,
+    bytes: [u8; PAGE_SIZE as usize],
+}
+
+impl Unit for Frame {
+    fn unmark(&mut self) {
+        self.lines = 0;
+    }
+}
 
 /// Frame slots per block of the frame table.
 const BLOCK: usize = 64;
 
 /// The slots of [`BLOCK`] consecutive frames, shared by every clone that
 /// has not written to any of those frames since the clone was taken.
-type Block = [Option<Frame>; BLOCK];
+#[derive(Debug, Clone)]
+struct Block {
+    /// The slots changed since the memory's stamp base (a frame written,
+    /// materialized or dropped), one bit per slot. Memo state.
+    slots: u64,
+    frames: [Option<Rc<Frame>>; BLOCK],
+}
 
-const EMPTY_BLOCK: Block = [const { None }; BLOCK];
+impl Unit for Block {
+    fn unmark(&mut self) {
+        self.slots = 0;
+    }
+}
+
+const EMPTY_BLOCK: Block = Block {
+    slots: 0,
+    frames: [const { None }; BLOCK],
+};
+
+/// The marks of the lines that `len > 0` bytes at frame offset `off` touch.
+#[inline(always)]
+fn lines(off: usize, len: usize) -> u64 {
+    (u64::MAX >> (63 - (off + len - 1) / LINE)) & (u64::MAX << (off / LINE))
+}
 
 /// The block index and the slot within it of frame `pfn`.
 #[inline(always)]
@@ -55,6 +99,10 @@ pub struct PhysMemory {
     materialized: usize,
     next_free_pfn: u64,
     frame_limit: Option<u64>,
+    /// Shared with every clone holding the same frame contents, cleared by
+    /// every frame write (see [`crate::stamp`]). Memo state, excluded from
+    /// the digest and from `compare`'s verdict.
+    stamp: Stamp,
 }
 
 impl PhysMemory {
@@ -66,23 +114,42 @@ impl PhysMemory {
             materialized: 0,
             next_free_pfn: 1,
             frame_limit: None,
+            stamp: Stamp::default(),
         }
     }
 
     /// Rewinds `self` to the state of `src`, which may be any memory
-    /// (typically an earlier or later clone of `self`). Only the blocks
-    /// of frame slots whose pointers differ are re-pointed to `src`'s
-    /// blocks, so the cost is one pointer compare per block of
-    /// 64 frames and no copying.
+    /// (typically an earlier or later clone of `self`).
+    ///
+    /// A memory that shares `src`'s stamp holds its frame contents and
+    /// copies only the allocator state. One that descends from `src` (see
+    /// `mmu/src/stamp.rs`) rewinds each block it owns alone slot by marked
+    /// slot, copying back the marked lines of each frame it owns alone and
+    /// keeping the frame, so the next write to it needs no copy. Every
+    /// other block or frame not already shared with `src` is re-pointed to
+    /// `src`'s, so a restore from another lineage costs one pointer compare
+    /// per block of 64 frames and copies nothing. The rewound memory takes
+    /// `src`'s stamp.
     pub fn restore_from(&mut self, src: &PhysMemory) {
-        self.blocks.truncate(src.blocks.len());
-        for (dst, s) in self.blocks.iter_mut().zip(&src.blocks) {
-            if !Rc::ptr_eq(dst, s) {
-                dst.clone_from(s);
+        if !self.stamp.matches(&src.stamp) {
+            let lineage = self.stamp.descends_from(&src.stamp);
+            self.blocks.truncate(src.blocks.len());
+            for (dst, s) in self.blocks.iter_mut().zip(&src.blocks) {
+                if Rc::ptr_eq(dst, s) {
+                    continue;
+                }
+                match Rc::get_mut(dst) {
+                    Some(block) if lineage => copy_back(block, s),
+                    _ => dst.clone_from(s),
+                }
             }
+            let len = self.blocks.len();
+            self.blocks.extend_from_slice(&src.blocks[len..]);
+            if lineage {
+                debug_assert_eq!(self.compare_frames(src, false), Ok(()));
+            }
+            self.stamp.clone_from(&src.stamp);
         }
-        let len = self.blocks.len();
-        self.blocks.extend_from_slice(&src.blocks[len..]);
         self.materialized = src.materialized;
         self.next_free_pfn = src.next_free_pfn;
         self.frame_limit = src.frame_limit;
@@ -127,8 +194,11 @@ impl PhysMemory {
         // contents; a clone taken before still holds them.
         let (block, slot) = split(pfn);
         if let Some(block) = self.blocks.get_mut(block) {
-            if block[slot].is_some() {
-                Rc::make_mut(block)[slot] = None;
+            if block.frames[slot].is_some() {
+                self.stamp.clear();
+                let block = unit_mut(block);
+                block.slots |= 1 << slot;
+                block.frames[slot] = None;
                 self.materialized -= 1;
             }
         }
@@ -144,23 +214,29 @@ impl PhysMemory {
     #[inline(always)]
     fn frame(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
         let (block, slot) = split(pfn);
-        self.blocks.get(block)?[slot].as_deref()
+        Some(&self.blocks.get(block)?.frames[slot].as_deref()?.bytes)
     }
 
-    /// The frame `pfn` for writing: materialized (zero-filled) if absent,
-    /// and copied first, with the block holding its slot, if a clone still
-    /// shares either.
+    /// The frame `pfn` for writing `lines` (see [`lines`]): materialized
+    /// (zero-filled) if absent, and copied first, with the block holding
+    /// its slot, if a clone still shares either. The slot and the lines
+    /// are marked and the stamp cleared before the caller writes.
     #[inline]
-    fn frame_mut(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE as usize] {
+    fn frame_mut(&mut self, pfn: u64, lines: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let (block, slot) = split(pfn);
         if block >= self.blocks.len() {
             self.blocks.resize_with(block + 1, || Rc::new(EMPTY_BLOCK));
         }
-        let slot = &mut Rc::make_mut(&mut self.blocks[block])[slot];
-        if slot.is_none() {
+        self.stamp.clear();
+        let block = unit_mut(&mut self.blocks[block]);
+        block.slots |= 1 << slot;
+        let frame = &mut block.frames[slot];
+        if frame.is_none() {
             self.materialized += 1;
         }
-        Rc::make_mut(slot.get_or_insert_with(|| Rc::new([0; PAGE_SIZE as usize])))
+        let frame = unit_mut(frame.get_or_insert_with(materialize));
+        frame.lines |= lines;
+        &mut frame.bytes
     }
 
     /// Whether `self` and `other` hold frame `pfn` as one shared frame.
@@ -173,10 +249,11 @@ impl PhysMemory {
     }
 
     /// Every frame slot with its frame number, in frame order.
-    fn slots(&self) -> impl Iterator<Item = (usize, &Option<Frame>)> {
+    fn slots(&self) -> impl Iterator<Item = (usize, Option<&[u8; PAGE_SIZE as usize]>)> {
         self.blocks
             .iter()
-            .flat_map(|block| block.iter())
+            .flat_map(|block| block.frames.iter())
+            .map(|f| f.as_deref().map(|f| &f.bytes))
             .enumerate()
     }
 
@@ -213,27 +290,56 @@ impl PhysMemory {
     /// frame both sides share is equal unread), the allocator cursor and
     /// the frame limit. A frame difference names the frame and the 8-byte
     /// word holding the first differing byte.
+    ///
+    /// Two memories of one lineage (see [`crate::stamp`]) differ only in
+    /// what either one marked, so of a block they do not share only the
+    /// marked slots are read, and of two frames there only the marked
+    /// lines; under `debug_assertions` the verdict is checked against
+    /// reading every slot.
     pub(crate) fn compare(&self, other: &PhysMemory) -> Result<(), Divergence> {
-        let ptr = |f: &Option<Frame>| f.as_ref().map_or(core::ptr::null(), Rc::as_ptr);
+        if self.stamp.same_lineage(&other.stamp) {
+            let verdict = self.compare_frames(other, true);
+            debug_assert_eq!(verdict, self.compare_frames(other, false));
+            verdict?;
+        } else {
+            self.compare_frames(other, false)?;
+        }
+        same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
+        same_opt("frame_limit", self.frame_limit, other.frame_limit)
+    }
+
+    /// The frame part of [`Self::compare`]: over the marked slots and
+    /// lines when `lineage` holds, over everything otherwise.
+    fn compare_frames(&self, other: &PhysMemory, lineage: bool) -> Result<(), Divergence> {
         for (i, (a, b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
             if Rc::ptr_eq(a, b) {
                 continue;
             }
-            for (slot, (a, b)) in a.iter().zip(b.iter()).enumerate() {
-                if ptr(a) != ptr(b) {
-                    compare_frame(i * BLOCK + slot, a.as_deref(), b.as_deref())?;
+            let slots = if lineage { a.slots | b.slots } else { u64::MAX };
+            for slot in marked(slots) {
+                let (fa, fb) = (&a.frames[slot], &b.frames[slot]);
+                match (fa, fb) {
+                    (Some(fa), Some(fb)) if Rc::ptr_eq(fa, fb) => {}
+                    (Some(fa), Some(fb)) if lineage => {
+                        compare_lines(i * BLOCK + slot, fa, fb, fa.lines | fb.lines)?
+                    }
+                    (None, None) => {}
+                    _ => compare_frame(
+                        i * BLOCK + slot,
+                        fa.as_deref().map(|f| &f.bytes),
+                        fb.as_deref().map(|f| &f.bytes),
+                    )?,
                 }
             }
         }
         let common = self.blocks.len().min(other.blocks.len()) * BLOCK;
         for (pfn, f) in self.slots().skip(common) {
-            compare_frame(pfn, f.as_deref(), None)?;
+            compare_frame(pfn, f, None)?;
         }
         for (pfn, f) in other.slots().skip(common) {
-            compare_frame(pfn, None, f.as_deref())?;
+            compare_frame(pfn, None, f)?;
         }
-        same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
-        same_opt("frame_limit", self.frame_limit, other.frame_limit)
+        Ok(())
     }
 
     /// Reads `buf.len()` bytes starting at `addr`, crossing frames as
@@ -260,7 +366,7 @@ impl PhysMemory {
             let pos = addr.0 + done as u64;
             let off = (pos & (PAGE_SIZE - 1)) as usize;
             let in_frame = (PAGE_SIZE as usize - off).min(buf.len() - done);
-            let frame = self.frame_mut(pos >> 12);
+            let frame = self.frame_mut(pos >> 12, lines(off, in_frame));
             frame[off..off + in_frame].copy_from_slice(&buf[done..done + in_frame]);
             done += in_frame;
         }
@@ -292,12 +398,57 @@ impl PhysMemory {
     pub fn write_u64(&mut self, addr: PhysAddr, value: u64) {
         if addr.frame_offset() <= PAGE_SIZE - 8 {
             let off = addr.frame_offset() as usize;
-            let frame = self.frame_mut(addr.pfn());
+            let frame = self.frame_mut(addr.pfn(), lines(off, 8));
             frame[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             self.write(addr, &value.to_le_bytes());
         }
     }
+}
+
+/// A fresh all-zero frame, fully marked: it may fill a slot whose
+/// contents the allocator dropped after the lineage began. Out of line,
+/// like every copy (see [`unit_mut`]).
+#[cold]
+#[inline(never)]
+fn materialize() -> Rc<Frame> {
+    Rc::new(Frame {
+        lines: u64::MAX,
+        bytes: [0; PAGE_SIZE as usize],
+    })
+}
+
+/// Rewinds `block`, owned alone by a memory that descends from `src`'s
+/// (see [`crate::stamp`]), to `src`: each marked slot gets the marked
+/// lines of `src`'s frame copied back into a frame it owns alone, or is
+/// re-pointed to `src`'s frame.
+fn copy_back(block: &mut Block, src: &Block) {
+    for slot in marked(block.slots) {
+        let (dst, s) = (&mut block.frames[slot], &src.frames[slot]);
+        match (dst.as_mut().and_then(Rc::get_mut), s) {
+            (Some(frame), Some(s)) => {
+                for line in marked(frame.lines) {
+                    let at = line * LINE..(line + 1) * LINE;
+                    frame.bytes[at.clone()].copy_from_slice(&s.bytes[at]);
+                }
+                frame.lines = 0;
+            }
+            _ => dst.clone_from(s),
+        }
+    }
+    block.slots = 0;
+}
+
+/// Compares the `lines` of frame `pfn` of two memories, in ascending
+/// order, naming the 8-byte word that holds the first differing byte.
+fn compare_lines(pfn: usize, a: &Frame, b: &Frame, lines: u64) -> Result<(), Divergence> {
+    for line in marked(lines) {
+        let at = line * LINE..(line + 1) * LINE;
+        if a.bytes[at.clone()] != b.bytes[at.clone()] {
+            return compare_frame(pfn, Some(&a.bytes), Some(&b.bytes));
+        }
+    }
+    Ok(())
 }
 
 /// Compares frame `pfn` of two memories, an absent frame as all zeros,
@@ -511,9 +662,124 @@ mod tests {
         assert_eq!(snap.read_u64(PhysAddr(2 << 12)), 2);
         assert_eq!(pm.read_u64(PhysAddr(2 << 12)), 2, "copy keeps the rest");
 
-        // A restore re-points the copied frame back to the shared one.
+        // A restore from the lineage copies the written line back into
+        // the memory's own copy and keeps it; the rest stay shared.
         pm.restore_from(&snap);
-        assert!((1..5).all(|pfn| pm.shares_frame(&snap, pfn)));
+        assert_eq!(pm.read_u64(PhysAddr((2 << 12) + 8)), 0);
+        assert!(!pm.shares_frame(&snap, 2));
+        assert!([1, 3, 4].iter().all(|&pfn| pm.shares_frame(&snap, pfn)));
+        assert_eq!(digest(&pm), digest(&snap));
+    }
+
+    /// The address of frame `pfn`'s bytes, if it is materialized.
+    fn frame_ptr(pm: &PhysMemory, pfn: u64) -> Option<*const u8> {
+        pm.frame(pfn).map(|f| f.as_ptr())
+    }
+
+    /// A copy of `pm` outside every lineage, taken without stamping `pm`:
+    /// compared with anything, it takes the compare of every slot.
+    fn apart(pm: &PhysMemory) -> PhysMemory {
+        PhysMemory {
+            blocks: pm.blocks.clone(),
+            materialized: pm.materialized,
+            next_free_pfn: pm.next_free_pfn,
+            frame_limit: pm.frame_limit,
+            stamp: Stamp::default(),
+        }
+    }
+
+    #[test]
+    fn a_restore_from_the_lineage_copies_back_the_marked_lines() {
+        let mut pm = spread();
+        let snap = pm.clone();
+        // Line 0 of frame 65, line 1 of frame 66 and a new frame 67.
+        pm.write_u64(PhysAddr((65 << 12) + 8), 99);
+        pm.write(PhysAddr((66 << 12) + 120), &[7; 16]);
+        pm.write_u64(PhysAddr(67 << 12), 3);
+        let block = pm.blocks[1].slots;
+        assert_eq!(block, 0b111 << 1, "slots 1, 2 and 3 of block 1");
+        let own = [65, 66].map(|pfn| frame_ptr(&pm, pfn));
+        pm.restore_from(&snap);
+        assert_eq!(digest(&pm), digest(&snap));
+        assert_eq!(verdict(&apart(&pm), &snap), None);
+        assert_eq!([65, 66].map(|pfn| frame_ptr(&pm, pfn)), own, "kept");
+        assert_eq!(frame_ptr(&pm, 67), None, "the new frame is dropped");
+        assert_eq!(pm.frame_count(), snap.frame_count());
+        // The next write to a kept frame lands in place, with no copy.
+        pm.write_u64(PhysAddr((65 << 12) + 0xff8), 5);
+        assert_eq!(frame_ptr(&pm, 65), own[0]);
+        pm.restore_from(&snap);
+        assert_eq!(pm.read_u64(PhysAddr((65 << 12) + 0xff8)), 0);
+        assert_eq!(digest(&pm), digest(&snap));
+        // A source of another lineage re-points every differing block.
+        let mut other = apart(&snap);
+        other.write_u64(PhysAddr(200 << 12), 1);
+        let other = other.clone();
+        pm.write_u64(PhysAddr(65 << 12), 6);
+        pm.restore_from(&other);
+        assert_eq!(shared_blocks(&pm, &other), [Some(true); 4]);
+        assert_eq!(digest(&pm), digest(&other));
+    }
+
+    #[test]
+    fn copy_back_needs_the_source_to_be_the_base() {
+        // `pm` descends from `snap` and marks only frame 65; `far`
+        // differs from `snap` in frame 66, which `pm` never marked.
+        let mut pm = spread();
+        let snap = pm.clone();
+        let mut far = apart(&snap);
+        far.write_u64(PhysAddr(66 << 12), 0x66);
+        let far = far.clone();
+        pm.write_u64(PhysAddr(65 << 12), 1);
+        pm.restore_from(&far);
+        assert_eq!(digest(&pm), digest(&far));
+        assert_eq!(pm.read_u64(PhysAddr(66 << 12)), 0x66);
+    }
+
+    #[test]
+    fn a_frame_materialized_in_the_lineage_is_fully_marked() {
+        // Frame 2 holds stray data at the checkpoint; allocating it drops
+        // the data, and a later write to another line brings the frame
+        // back zeroed. The restore must bring back every line.
+        let mut pm = PhysMemory::new();
+        pm.alloc_frame();
+        pm.write(PhysAddr(2 << 12), b"stray");
+        let src = pm.clone();
+        assert_eq!(pm.alloc_frame(), PhysAddr(2 << 12));
+        pm.write_u64(PhysAddr((2 << 12) + 0x800), 9);
+        pm.restore_from(&src);
+        assert_eq!(
+            pm.read_u64(PhysAddr(2 << 12)),
+            src.read_u64(PhysAddr(2 << 12))
+        );
+        assert_eq!(digest(&pm), digest(&src));
+    }
+
+    #[test]
+    fn memories_of_one_lineage_compare_their_marks_and_others_compare_all() {
+        let snap = spread().clone();
+        let (mut a, mut b) = (snap.clone(), snap.clone());
+        a.write_u64(PhysAddr((65 << 12) + 0x40), 1);
+        b.write_u64(PhysAddr((66 << 12) + 0x80), 2);
+        assert!(a.stamp.same_lineage(&b.stamp));
+        assert_eq!(verdict(&a, &b).unwrap().component, "frame 0x41 +0x40");
+        assert_eq!(verdict(&b, &a).unwrap().component, "frame 0x41 +0x40");
+        // A line written on a memory built apart, unmarked: only the
+        // compare of every line sees it.
+        let mut c = apart(&snap);
+        let frame = unit_mut(Rc::make_mut(&mut c.blocks[3]).frames[8].as_mut().unwrap());
+        frame.bytes[0x100] = 1;
+        assert_eq!(verdict(&c, &snap).unwrap().component, "frame 0xc8 +0x100");
+    }
+
+    #[test]
+    fn lines_marks_every_line_a_write_touches() {
+        assert_eq!(lines(0, 8), 1);
+        assert_eq!(lines(56, 8), 1);
+        assert_eq!(lines(60, 8), 0b11, "a word across two lines");
+        assert_eq!(lines(0xfc0, 64), 1 << 63);
+        assert_eq!(lines(0, PAGE_SIZE as usize), u64::MAX);
+        assert_eq!(lines(64, 1), 0b10);
     }
 
     /// Which blocks of their frame tables `a` and `b` share, by index
@@ -732,6 +998,11 @@ mod tests {
         assert_eq!(pm.frame_count(), src.frame_count());
         assert_eq!(pm.next_free_pfn, src.next_free_pfn);
         assert_eq!(digest(&pm), digest(&src));
+        // Again onto a memory of another lineage.
+        let mut apart = apart(&src);
+        apart.alloc_frame();
+        apart.restore_from(&src);
+        assert_eq!(digest(&apart), digest(&src));
     }
 
     /// Both state-equality oracles at once: `compare`'s verdict, which

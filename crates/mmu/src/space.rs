@@ -874,11 +874,15 @@ impl AddressSpace {
     /// one), the cache hierarchy's live ways and counters, the valid TLB
     /// entries and TLB counters, the view roots, the active view, PKRU,
     /// the EPTP list and the `mprotect` counter. Like the digest it
-    /// ignores the translation memo, the mutation generation and the
-    /// fast-path hit counters. Blocks of frame slots, frames and cache
-    /// chunks both spaces share copy-on-write are equal without a look at
-    /// their contents, so comparing a space against one restored from a
-    /// common snapshot costs only what each wrote since.
+    /// ignores the translation memo, the mutation generation, the
+    /// fast-path hit counters and the lineage stamps and write marks.
+    /// Blocks of frame slots, frames and cache chunks both spaces share
+    /// copy-on-write are equal without a look at their contents. Where
+    /// both spaces' memory, cache level or TLB descend from one snapshot
+    /// (the stamps of `mmu/src/stamp.rs`), only the lines, sets and
+    /// entries either one marked since are read, so comparing a space
+    /// against one restored from a common snapshot costs only what each
+    /// wrote since.
     pub fn diff(&self, other: &AddressSpace) -> Option<Divergence> {
         self.compare(other).err()
     }
@@ -909,20 +913,26 @@ impl AddressSpace {
     /// Rewinds `self` to the state of `src`, which may be any space —
     /// typically a snapshot clone of `self` taken earlier or later on
     /// either timeline. The physical frame table's blocks of 64 frame
-    /// slots and the cache chunks are shared copy-on-write between
-    /// clones, so only the blocks and chunks whose pointers differ from
-    /// `src`'s are re-pointed, and nothing is copied.
+    /// slots, the frames and the cache chunks are shared copy-on-write
+    /// between clones.
     ///
-    /// Each cache level and the TLB carry a sharing stamp that a clone
-    /// shares and every write to the table clears. A level or TLB whose
-    /// stamp equals `src`'s still holds `src`'s chunk pointers or
-    /// entries and is skipped unread; otherwise the level costs a
-    /// pointer compare per chunk, the TLB a copy of its 64 entries, and
-    /// both take `src`'s stamp. The EPT list is shared copy-on-write
-    /// too, so rewinding it re-points one pointer. So a restore onto a
-    /// space that has written no cache level and no TLB entry since it
-    /// last shared them with `src` costs a pointer compare per block of
-    /// frame slots and little else.
+    /// Physical memory, each cache level and the TLB carry a lineage stamp
+    /// (`mmu/src/stamp.rs`): an id that a clone shares and every write
+    /// clears, and a base, the last id the table shared. Every write also
+    /// marks what it wrote: a frame's 64-byte line, a chunk's set, a TLB
+    /// entry. Per table, the restore takes one of three paths:
+    /// - *skip*: the table's id equals `src`'s, so it still holds `src`'s
+    ///   contents and is not read;
+    /// - *copy-back*: the table descends from `src` (its base is `src`'s
+    ///   id), so it differs from `src` only in what it marked; the marked
+    ///   lines, sets and entries are copied back into the frames and chunks
+    ///   it owns alone, which it keeps, so the next write needs no copy;
+    /// - *full rewind*: every block and chunk whose pointer differs from
+    ///   `src`'s is re-pointed, and the TLB copies all 64 entries.
+    ///
+    /// A table that did not skip takes `src`'s id as both of its ids. The
+    /// EPT list is shared copy-on-write too, so rewinding it re-points one
+    /// pointer.
     /// The small fixed-size components (views, `pkru`, the active EPT,
     /// translation memo, counters) are copied wholesale. Apart from the
     /// mutation generation, which moves past both timelines' values, and
@@ -1687,5 +1697,26 @@ mod tests {
         for (a, b) in [(&stamped, &fresh), (&stamped, &apart), (&apart, &fresh)] {
             assert_eq!(verdict(a, b), None);
         }
+        // Write marks and lineage bases: two spaces of one lineage whose
+        // writes put back what they overwrote (their marks differ, their
+        // contents do not), a space rewound by copying back, and each of
+        // them against a space of another lineage.
+        let snap = base.clone();
+        let (mut undone, mut touched) = (snap.clone(), snap.clone());
+        let mut old = [0u8; 8];
+        assert!(undone.peek(VirtAddr(0x1800), &mut old));
+        assert!(undone.poke(VirtAddr(0x1800), &[!old[0]]));
+        assert!(undone.poke(VirtAddr(0x1800), &old));
+        let mut word = [0u8; 8];
+        assert!(touched.peek(VirtAddr(0x1808), &mut word));
+        assert!(touched.poke(VirtAddr(0x1808), &word));
+        let mut copied_back = snap.clone();
+        copied_back.write_u64(VirtAddr(0x1800), 9).unwrap();
+        copied_back.restore_from(&snap);
+        for s in [&undone, &touched, &copied_back] {
+            assert_eq!(verdict(s, &snap), None);
+            assert_eq!(verdict(s, &fresh), None);
+        }
+        assert_eq!(verdict(&undone, &touched), None);
     }
 }

@@ -24,12 +24,22 @@
 //!   same-line cache memo are pure accelerators — excluded from digests
 //!   and snapshots, and orphaned by `restore` even when the abandoned
 //!   timeline warmed them under newer generations or a different PKRU.
+//! * **Every write rewound**: each kind of write to a table that a
+//!   restore undoes by copying back what the write marked — a TLB
+//!   insert, an `invlpg`, a full flush, a frame write, a cache-set
+//!   reorder, a frame the allocator dropped and a write brought back —
+//!   digests like the snapshot again after the restore. The digest
+//!   reads every line, set and entry, not the marks. And a `diff`
+//!   between machines rewound from different snapshots reads what
+//!   neither marked.
 
 use memsentry_cases::properties;
 use memsentry_repro::cpu::{EventAction, EventSchedule, ExecStats, Machine, MachineConfig};
 use memsentry_repro::ir::parse_program;
 use memsentry_repro::memsentry::{Application, MemSentry, Technique};
-use memsentry_repro::mmu::{Pkru, Prot, VirtAddr, PAGE_SIZE};
+use memsentry_repro::mmu::{
+    AddressSpace, Digest, PageFlags, PhysAddr, PhysMemory, Pkru, Prot, VirtAddr, PAGE_SIZE,
+};
 use memsentry_repro::workloads::{Workload, WorkloadSpec, SPEC2006};
 
 /// Runs the machine to completion and captures everything observable.
@@ -271,6 +281,86 @@ properties! {
         assert_eq!(*warm.stats(), reference.1);
         assert_eq!(warm.cycles(), reference.2);
     }
+}
+
+#[test]
+fn every_kind_of_write_is_rewound() {
+    fn digest(s: &AddressSpace) -> u64 {
+        let mut d = Digest::new();
+        s.digest_into(&mut d);
+        d.finish()
+    }
+    // Four pages, each written once: every page's TLB entry is resident
+    // and their first lines share L1 set 0, the first page's at its LRU
+    // end.
+    let mut s = AddressSpace::new();
+    s.map_region(VirtAddr(0x1000), 5 * PAGE_SIZE, PageFlags::rw());
+    for page in 0..4 {
+        s.write_u64(VirtAddr(0x1000 + page * PAGE_SIZE), page)
+            .unwrap();
+    }
+    type Write = fn(&mut AddressSpace);
+    let writes: [(&str, Write); 5] = [
+        ("TLB insert", |s| {
+            s.read_u64(VirtAddr(0x5000)).unwrap();
+        }),
+        ("invlpg", |s| {
+            s.mprotect(VirtAddr(0x2000), PAGE_SIZE, Prot::Read);
+        }),
+        ("full TLB flush", |s| s.flush_tlb()),
+        ("frame write", |s| {
+            assert!(s.poke(VirtAddr(0x3008), &[7]));
+        }),
+        ("cache-set reorder", |s| {
+            s.read_u64(VirtAddr(0x1000)).unwrap();
+        }),
+    ];
+    for (name, write) in writes {
+        let snap = s.clone();
+        write(&mut s);
+        assert_ne!(digest(&s), digest(&snap), "{name} wrote nothing");
+        s.restore_from(&snap);
+        assert_eq!(digest(&s), digest(&snap), "{name}");
+        assert_eq!(s.diff(&snap), None, "{name}");
+    }
+
+    // Frame 2 holds stray data at the snapshot. Allocating it drops the
+    // data; a write to another of its lines brings it back zeroed.
+    let mut pm = PhysMemory::new();
+    pm.alloc_frame();
+    pm.write(PhysAddr(2 << 12), b"stray");
+    let snap = pm.clone();
+    assert_eq!(pm.alloc_frame(), PhysAddr(2 << 12));
+    pm.write_u64(PhysAddr((2 << 12) + 0x800), 9);
+    pm.restore_from(&snap);
+    let digest = |pm: &PhysMemory| {
+        let mut d = Digest::new();
+        pm.digest_into(&mut d);
+        d.finish()
+    };
+    assert_eq!(digest(&pm), digest(&snap));
+}
+
+#[test]
+fn a_diff_across_lineages_reads_what_neither_side_marked() {
+    // Two golden machines that differ in one safe-region word. Each is
+    // snapshotted, written again and rewound by copying back, which
+    // leaves the frame its own and unmarked. The two descend from
+    // different snapshots, so their diff has to read that frame whole.
+    let build = |word: u64| {
+        let (mut m, _) = mpk_machine();
+        let at = VirtAddr(0x4000_0000_0000);
+        assert!(m.space.poke(at, &word.to_le_bytes()));
+        let snap = m.snapshot();
+        assert!(m.space.poke(at, &[0xff]));
+        m.restore(&snap);
+        m
+    };
+    let (a, b) = (build(1), build(2));
+    assert_ne!(a.state_digest(), b.state_digest());
+    let d = a.diff(&b).expect("the words differ");
+    assert!(d.component.starts_with("frame "), "{d}");
+    assert_eq!((d.left, d.right), (1, 2));
 }
 
 #[test]

@@ -1129,10 +1129,10 @@ impl Machine {
     /// chunk, and one to the EPT tables the list. The heap policy is
     /// shared too; the next `Alloc`/`Free` copies it. Physical memory,
     /// each cache level and the TLB get a lineage stamp that the snapshot
-    /// shares until the machine writes to that table, and every write
-    /// marks what it wrote, which lets [`Self::restore`] skip a table or
-    /// copy back only the marked lines, sets and entries (see
-    /// [`AddressSpace::restore_from`]).
+    /// shares until the machine writes to that table, and every write to
+    /// memory or a cache level marks what it wrote, which lets
+    /// [`Self::restore`] skip a table or copy back only the marked lines
+    /// and sets (see [`AddressSpace::restore_from`]).
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             space: self.space.clone(),
@@ -1163,16 +1163,16 @@ impl Machine {
     ///
     /// The address space rewinds through [`AddressSpace::restore_from`],
     /// per table: memory, a cache level or the TLB that still carries the
-    /// snapshot's stamp is skipped without a look; one that descends from
-    /// the snapshot (restored from it or cloned into it last) copies back
-    /// only the lines, sets and entries it marked since, into frames and
-    /// chunks it keeps for the next write; any other table re-points the
-    /// blocks and chunks it does not share with the snapshot and copies
-    /// the TLB's 64 entries. The heap policy is re-pointed to the
-    /// snapshot's without a copy, and the thread table is copied into its
-    /// existing allocation. The mutation generation
-    /// moves past both timelines', which orphans every inline-cache slot
-    /// stamped before the restore.
+    /// snapshot's stamp is skipped without a look; memory or a cache level
+    /// that descends from the snapshot (restored from it or cloned into it
+    /// last) copies back only the lines and sets it marked since, into
+    /// frames and chunks it keeps for the next write; any other table
+    /// re-points the blocks and chunks it does not share with the
+    /// snapshot, and a TLB that did not skip copies its 64 entries. The
+    /// heap policy is re-pointed to the snapshot's without a copy, and the
+    /// thread table is copied into its existing allocation. The mutation
+    /// generation moves past both timelines', which orphans every
+    /// inline-cache slot stamped before the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.space.restore_from(&snap.space);
         self.regs = snap.regs;
@@ -1482,7 +1482,8 @@ impl Machine {
 /// changes. Its memory, cache levels and TLB carry the lineage stamps
 /// they had at capture; the machine keeps them until it writes to those
 /// tables, and a restore between the two skips every table still stamped
-/// alike and copies back only what the machine marked in the others.
+/// alike and copies back only what the machine marked in its memory and
+/// cache levels.
 #[derive(Debug)]
 pub struct MachineSnapshot {
     space: AddressSpace,

@@ -234,10 +234,10 @@ impl Recording {
     /// The checkpoint is found by a binary search over the checkpoints'
     /// boundaries alone. The restore skips the memory, cache levels and
     /// TLB whose lineage stamps still match the checkpoint's, copies back
-    /// only the marked lines, sets and entries of those that descend from
-    /// it, and re-points the heap policy and EPT list without copying
-    /// them. A seek thus costs little more than re-executing the gap and
-    /// undoing what the machine wrote since it last shared the
+    /// only the marked lines and sets of the memory and cache levels that
+    /// descend from it, and re-points the heap policy and EPT list without
+    /// copying them. A seek thus costs little more than re-executing the
+    /// gap and undoing what the machine wrote since it last shared the
     /// checkpoint's contents; see [`Machine::restore`].
     ///
     /// `m` must be the machine the recording was captured from (or a

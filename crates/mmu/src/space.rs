@@ -878,11 +878,11 @@ impl AddressSpace {
     /// fast-path hit counters and the lineage stamps and write marks.
     /// Blocks of frame slots, frames and cache chunks both spaces share
     /// copy-on-write are equal without a look at their contents. Where
-    /// both spaces' memory, cache level or TLB descend from one snapshot
-    /// (the stamps of `mmu/src/stamp.rs`), only the lines, sets and
-    /// entries either one marked since are read, so comparing a space
-    /// against one restored from a common snapshot costs only what each
-    /// wrote since.
+    /// both spaces' memory or cache level descend from one snapshot (the
+    /// stamps of `mmu/src/stamp.rs`), only the lines and sets either one
+    /// marked since are read, so comparing a space against one restored
+    /// from a common snapshot costs only what each wrote since and the
+    /// TLB's 64 entries.
     pub fn diff(&self, other: &AddressSpace) -> Option<Divergence> {
         self.compare(other).err()
     }
@@ -918,15 +918,17 @@ impl AddressSpace {
     ///
     /// Physical memory, each cache level and the TLB carry a lineage stamp
     /// (`mmu/src/stamp.rs`): an id that a clone shares and every write
-    /// clears, and a base, the last id the table shared. Every write also
-    /// marks what it wrote: a frame's 64-byte line, a chunk's set, a TLB
-    /// entry. Per table, the restore takes one of three paths:
+    /// clears, and a base, the last id the table shared. Every write to
+    /// memory or a cache level also marks what it wrote: a frame's 64-byte
+    /// line, a chunk's set. Per table, the restore takes one of three
+    /// paths:
     /// - *skip*: the table's id equals `src`'s, so it still holds `src`'s
     ///   contents and is not read;
-    /// - *copy-back*: the table descends from `src` (its base is `src`'s
-    ///   id), so it differs from `src` only in what it marked; the marked
-    ///   lines, sets and entries are copied back into the frames and chunks
-    ///   it owns alone, which it keeps, so the next write needs no copy;
+    /// - *copy-back* (memory and cache levels): the table descends from
+    ///   `src` (its base is `src`'s id), so it differs from `src` only in
+    ///   what it marked; the marked lines and sets are copied back into the
+    ///   frames and chunks it owns alone, which it keeps, so the next write
+    ///   needs no copy;
     /// - *full rewind*: every block and chunk whose pointer differs from
     ///   `src`'s is re-pointed, and the TLB copies all 64 entries.
     ///

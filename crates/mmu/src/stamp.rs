@@ -1,10 +1,11 @@
 //! Lineage stamps and write masks: how a restore knows what a table
 //! wrote since it last shared its contents with the source.
 //!
-//! A rewindable table (physical memory, a cache level, the TLB) carries a
-//! [`Stamp`] of two ids, and each of its units carries a `u64` write mask:
-//! the 64-byte lines of a frame (and the slots of a block of frames), the
-//! sets of a 64-set cache chunk, the TLB's 64 entries.
+//! A rewindable table (physical memory, a cache level) carries a [`Stamp`]
+//! of two ids, and each of its units carries a `u64` write mask: the
+//! 64-byte lines of a frame (and the slots of a block of frames), the sets
+//! of a 64-set cache chunk. The TLB carries a stamp without masks: a
+//! restore skips it on equal ids and otherwise copies all 64 entries.
 //!
 //! - `id` is shared with every clone holding the same contents, until one
 //!   side writes. Two live tables with the same nonzero `id` hold the same
@@ -23,7 +24,7 @@
 //! source's instead. Two tables with one `base` differ only in the union of
 //! their marks, so [`crate::diff`] compares just those. A source of another
 //! lineage (a random seek across checkpoints) takes the full rewind: every
-//! unit not already shared is re-pointed, every TLB entry copied.
+//! unit not already shared is re-pointed.
 //!
 //! Four rules keep the invariant:
 //! - Every write marks its unit and clears `id` before it writes.
@@ -66,8 +67,9 @@ pub(crate) struct Stamp {
 
 impl Stamp {
     /// Forgets the id: the table is about to change. Every write to a
-    /// stamped table marks the unit it writes and calls this before it
-    /// writes. The base stays: the table still descends from it.
+    /// stamped table calls this before it writes, and in a table with
+    /// masks also marks the unit it writes. The base stays: the table
+    /// still descends from it.
     #[inline(always)]
     pub(crate) fn clear(&mut self) {
         *self.id.get_mut() = 0;

@@ -10,7 +10,7 @@
 use crate::diff::{same, Divergence};
 use crate::digest::Digest;
 use crate::pte::Pte;
-use crate::stamp::{marked, Stamp};
+use crate::stamp::Stamp;
 
 /// Number of TLB entries (a Skylake-ish L1 dTLB).
 pub const TLB_ENTRIES: usize = 64;
@@ -45,13 +45,10 @@ pub struct Tlb {
     entries: Vec<TlbEntry>,
     stats: TlbStats,
     /// Shared with every clone holding the same entries, cleared by
-    /// every entry write (see [`crate::stamp`]): a restore between two
-    /// TLBs with one stamp skips the entry copy, and one from the
-    /// stamp's base copies only the entries in `written`. Memo state,
-    /// excluded from the digest and from `compare`'s verdict.
+    /// every entry write that changes an entry (see [`crate::stamp`]): a
+    /// restore between two TLBs with one stamp skips the entry copy.
+    /// Memo state, excluded from the digest and `compare`.
     stamp: Stamp,
-    /// The entries changed since the stamp's base, one bit per slot.
-    written: u64,
 }
 
 impl Default for Tlb {
@@ -75,15 +72,7 @@ impl Tlb {
             ],
             stats: TlbStats::default(),
             stamp: Stamp::default(),
-            written: 0,
         }
-    }
-
-    /// Marks slot `slot` written and clears the stamp, before the write.
-    #[inline(always)]
-    fn mark(&mut self, slot: usize) {
-        self.stamp.clear();
-        self.written |= 1 << slot;
     }
 
     /// Looks up the leaf PTE cached for `vpn` in address space `pcid`,
@@ -114,7 +103,7 @@ impl Tlb {
     }
 
     /// Installs a translation after a successful walk. Re-installing the
-    /// resident entry writes nothing, so it keeps the stamp and the marks.
+    /// resident entry writes nothing, so it keeps the stamp.
     #[inline]
     pub fn insert(&mut self, pcid: u16, vpn: u64, pte: Pte) {
         let slot = (vpn as usize) % TLB_ENTRIES;
@@ -125,7 +114,7 @@ impl Tlb {
             valid: true,
         };
         if self.entries[slot] != entry {
-            self.mark(slot);
+            self.stamp.clear();
             self.entries[slot] = entry;
         }
     }
@@ -136,18 +125,18 @@ impl Tlb {
         self.stats.page_flushes += 1;
         let slot = (vpn as usize) % TLB_ENTRIES;
         if self.entries[slot].valid && self.entries[slot].vpn == vpn {
-            self.mark(slot);
+            self.stamp.clear();
             self.entries[slot].valid = false;
         }
     }
 
-    /// Invalidates everything (`mov cr3` without PCID). Only the slots
-    /// that were valid change, so only they are marked.
+    /// Invalidates everything (`mov cr3` without PCID). A flush of a TLB
+    /// with no valid entry changes none, so it keeps the stamp.
     pub fn flush_all(&mut self) {
-        for slot in 0..TLB_ENTRIES {
-            if self.entries[slot].valid {
-                self.mark(slot);
-                self.entries[slot].valid = false;
+        if self.entries.iter().any(|e| e.valid) {
+            self.stamp.clear();
+            for e in &mut self.entries {
+                e.valid = false;
             }
         }
         self.stats.flushes += 1;
@@ -184,31 +173,16 @@ impl Tlb {
 
     /// Compares what [`Self::digest_into`] feeds: which slots are valid,
     /// each valid entry's tag and PTE (stale bits of invalid slots are
-    /// never looked at), then the statistics.
-    ///
-    /// Two TLBs of one lineage (see [`crate::stamp`]) differ only in the
-    /// entries either one marked, so only those are compared; under
-    /// `debug_assertions` the verdict is checked against comparing all 64.
+    /// never looked at), then the statistics. All 64 entries are read;
+    /// the stamp plays no part.
     pub(crate) fn compare(&self, other: &Tlb) -> Result<(), Divergence> {
-        if !self.stamp.same_lineage(&other.stamp) {
-            return self.compare_slots(other, u64::MAX);
-        }
-        let verdict = self.compare_slots(other, self.written | other.written);
-        debug_assert_eq!(verdict, self.compare_slots(other, u64::MAX));
-        verdict
-    }
-
-    /// [`Self::compare`] over the slots in `slots` and the statistics.
-    fn compare_slots(&self, other: &Tlb, slots: u64) -> Result<(), Divergence> {
-        let equal = |slot: usize| {
-            let (a, b) = (&self.entries[slot], &other.entries[slot]);
+        let equal = |(a, b): (&TlbEntry, &TlbEntry)| {
             a.valid == b.valid && (!a.valid || (a.pcid, a.vpn, a.pte.0) == (b.pcid, b.vpn, b.pte.0))
         };
-        if self.stats == other.stats && marked(slots).all(equal) {
+        if self.stats == other.stats && self.entries.iter().zip(&other.entries).all(equal) {
             return Ok(());
         }
-        for slot in marked(slots) {
-            let (a, b) = (&self.entries[slot], &other.entries[slot]);
+        for (slot, (a, b)) in self.entries.iter().zip(&other.entries).enumerate() {
             same(
                 format_args!("TLB slot {slot}"),
                 a.valid as u64,
@@ -236,27 +210,19 @@ impl Tlb {
     /// The allocation-free counterpart of `*self = src.clone()`, used by
     /// `AddressSpace::restore_from` on every snapshot restore.
     ///
-    /// Only the entries that may differ are copied (see `mmu/src/stamp.rs`):
-    /// none when the TLB shares `src`'s stamp (neither side has changed
-    /// an entry since one was cloned or restored from the other); the
-    /// entries it marked when it descends from `src` (its base is `src`'s
-    /// id); otherwise all 64. The rewound TLB takes `src`'s stamp as its
-    /// new base, with no marks.
+    /// The entries are copied only when they may differ: a TLB that
+    /// shares `src`'s sharing stamp (neither side has changed an entry
+    /// since one was cloned or restored from the other) already holds
+    /// `src`'s entries, and only the statistics are copied. Otherwise all
+    /// 64 entries are copied (2 KiB) and the rewound TLB takes `src`'s
+    /// stamp. The TLB keeps no write mask: copying back only the changed
+    /// entries showed no end-to-end gain over the full copy.
     pub fn restore_from(&mut self, src: &Tlb) {
         self.stats = src.stats;
-        if self.stamp.matches(&src.stamp) {
-            return;
-        }
-        if self.stamp.descends_from(&src.stamp) {
-            for slot in marked(self.written) {
-                self.entries[slot] = src.entries[slot];
-            }
-            debug_assert_eq!(self.compare_slots(src, u64::MAX), Ok(()));
-        } else {
+        if !self.stamp.matches(&src.stamp) {
             self.entries.copy_from_slice(&src.entries);
+            self.stamp.clone_from(&src.stamp);
         }
-        self.written = 0;
-        self.stamp.clone_from(&src.stamp);
     }
 }
 
@@ -386,21 +352,7 @@ mod tests {
         tlb.lookup(0, 18);
         tlb.flush_all();
         tlb.insert(3, 17, pte());
-        // Unstamped, so no lineage: the marks so far mean nothing, and
-        // dropping them keeps a stale mark from hiding a missing one.
-        tlb.written = 0;
         tlb
-    }
-
-    /// A copy of `t` outside every lineage, taken without stamping `t`:
-    /// compared with anything, it takes the compare of all 64 slots.
-    fn apart(t: &Tlb) -> Tlb {
-        Tlb {
-            entries: t.entries.clone(),
-            stats: t.stats,
-            stamp: Stamp::default(),
-            written: t.written,
-        }
     }
 
     #[test]
@@ -417,98 +369,34 @@ mod tests {
             assert!(t.stamp.matches(&snap.stamp), "{name}");
             write(&mut t);
             assert!(verdict(&t, &snap).is_some(), "{name} changed nothing");
-            assert!(verdict(&apart(&t), &snap).is_some(), "{name}");
-            assert!(t.stamp.descends_from(&snap.stamp), "{name}");
+            assert!(!t.stamp.matches(&snap.stamp), "{name} kept the stamp");
             t.restore_from(&snap);
-            assert_eq!(verdict(&apart(&t), &snap), None, "{name}");
+            assert_eq!(verdict(&t, &snap), None, "{name}");
             assert!(t.stamp.matches(&snap.stamp), "{name}");
-            assert_eq!(t.written, 0, "{name}");
         }
     }
 
     #[test]
-    fn a_restore_from_the_lineage_copies_back_only_the_marked_entries() {
-        let mut t = warmed();
-        let snap = t.clone();
-        t.insert(1, 40, pte());
-        t.insert(2, 41 + TLB_ENTRIES as u64, pte());
-        t.flush_page(17);
-        assert_eq!(t.written, 1 << 17 | 1 << 40 | 1 << 41);
-        // A stale tag in an unmarked invalid slot is left as it is: the
-        // copy-back touches nothing else.
-        t.entries[18].vpn = 7;
-        t.restore_from(&snap);
-        assert_eq!(t.entries[18].vpn, 7);
-        assert_eq!(verdict(&apart(&t), &snap), None);
-        // A source of another lineage gets every entry copied, stale bits
-        // included.
-        let other = apart(&snap);
-        t.insert(1, 40, pte());
-        t.restore_from(&other);
-        assert_eq!(t.entries[18].vpn, 18);
-        assert!(t.stamp.matches(&other.stamp));
-    }
-
-    #[test]
-    fn copy_back_needs_the_source_to_be_the_base() {
-        // `t` descends from `snap`; `twin` holds the same entries under
-        // another id, and `far` differs in an entry `t` never marked. Only
-        // `snap` may be served by copying back `t`'s marks.
-        let mut t = warmed();
-        let snap = t.clone();
-        let mut far = apart(&snap);
-        far.insert(5, 9, pte());
-        let far = far.clone();
-        t.insert(1, 40, pte());
-        t.restore_from(&far);
-        assert_eq!(verdict(&apart(&t), &far), None);
-        assert_eq!(t.lookup(5, 9), Some(pte()));
-    }
-
-    #[test]
-    fn tlbs_of_one_lineage_compare_their_marks_and_others_compare_all() {
-        let base = warmed();
-        let snap = base.clone();
-        // Two machines restored from one snapshot, each writing its own
-        // entry: the union of their marks finds both differences.
-        let (mut a, mut b) = (snap.clone(), snap.clone());
-        a.insert(1, 40, pte());
-        b.insert(2, 50, pte());
-        assert!(a.stamp.same_lineage(&b.stamp));
-        assert_eq!(verdict(&a, &b).unwrap().component, "TLB slot 40");
-        assert_eq!(verdict(&b, &a).unwrap().component, "TLB slot 40");
-        // A TLB built apart differs in an entry neither side marked: only
-        // the compare of all 64 slots can see it.
-        let mut c = apart(&snap);
-        c.entries[9] = TlbEntry {
-            pcid: 0,
-            vpn: 9,
-            pte: pte(),
-            valid: true,
-        };
-        assert!(!c.stamp.same_lineage(&snap.stamp));
-        assert_eq!(verdict(&c, &snap).unwrap().component, "TLB slot 9");
-    }
-
-    #[test]
-    fn a_write_that_changes_nothing_marks_nothing() {
+    fn a_write_that_changes_nothing_keeps_the_stamp() {
         let mut t = warmed();
         let snap = t.clone();
         t.insert(3, 17, pte()); // the resident entry
         t.flush_page(18); // invalid already
         t.flush_page(17 + TLB_ENTRIES as u64); // another page's slot
         assert!(t.stamp.matches(&snap.stamp), "nothing changed");
-        assert_eq!(t.written, 0);
         assert_eq!(t.stats().page_flushes, snap.stats().page_flushes + 2);
-        // A flush of everything marks only the slot that was valid.
-        t.flush_all();
-        assert_eq!(t.written, 1 << 17);
-        assert_eq!(t.stats().flushes, snap.stats().flushes + 1);
+        // So the next restore skips the entry copy: a stale tag planted
+        // in an invalid slot survives it.
+        t.entries[18].vpn = 7;
+        t.restore_from(&snap);
+        assert_eq!(t.entries[18].vpn, 7, "the restore copied the entries");
+        assert_eq!(verdict(&t, &snap), None);
+        // A flush of a TLB with no valid entry changes nothing either.
         let mut empty = Tlb::new();
         let stamp = empty.clone();
         empty.flush_all();
         assert!(empty.stamp.matches(&stamp.stamp));
-        assert_eq!(empty.written, 0);
+        assert_eq!(empty.stats().flushes, 1);
     }
 
     #[test]
@@ -544,9 +432,7 @@ mod tests {
         ];
         let base = warmed();
         for (component, mutate) in rows {
-            // The rows write fields directly, unmarked: only a copy outside
-            // the lineage may be compared with `base` after them.
-            let mut mutated = apart(&base);
+            let mut mutated = base.clone();
             mutate(&mut mutated);
             let d = verdict(&mutated, &base).expect(component);
             assert_eq!(d.component, component);

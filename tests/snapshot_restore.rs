@@ -24,14 +24,15 @@
 //!   same-line cache memo are pure accelerators — excluded from digests
 //!   and snapshots, and orphaned by `restore` even when the abandoned
 //!   timeline warmed them under newer generations or a different PKRU.
-//! * **Every write rewound**: each kind of write to a table that a
-//!   restore undoes by copying back what the write marked — a TLB
-//!   insert, an `invlpg`, a full flush, a frame write, a cache-set
-//!   reorder, a frame the allocator dropped and a write brought back —
-//!   digests like the snapshot again after the restore. The digest
-//!   reads every line, set and entry, not the marks. And a `diff`
-//!   between machines rewound from different snapshots reads what
-//!   neither marked.
+//! * **Every write rewound**: each kind of write that a restore has to
+//!   undo — a TLB insert, an `invlpg` and a full flush (which must clear
+//!   the TLB's stamp, or the restore skips the TLB), a frame write, a
+//!   cache-set reorder and a frame the allocator dropped and a write
+//!   brought back (which must mark what they wrote, or the restore does
+//!   not copy it back) — digests like the snapshot again after the
+//!   restore. The digest reads every line, set and entry, not the marks.
+//!   And a `diff` between machines rewound from different snapshots
+//!   reads what neither marked.
 
 use memsentry_cases::properties;
 use memsentry_repro::cpu::{EventAction, EventSchedule, ExecStats, Machine, MachineConfig};

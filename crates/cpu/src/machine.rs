@@ -1328,44 +1328,27 @@ impl Machine {
     ///
     /// Nothing is hashed but an unshared heap policy: the policy, frames,
     /// cache chunks and EPT tables the two machines share copy-on-write
-    /// (both restored from one recording, say) are equal unread, so the
-    /// comparison costs what the two wrote since, not the size of the
-    /// machine.
+    /// (both restored from one recording, say) are equal unread, and two
+    /// memories or cache levels of one lineage visit only the frames and
+    /// chunks either side marked, so the comparison costs what the two
+    /// wrote since, not the size of the machine. Names cost nothing on the
+    /// equal path either: the register file with the bound registers and
+    /// the pc, [`ExecStats`] (with `cycles` also by bits) and the thread
+    /// table are each compared whole, and walked field by field to name
+    /// the difference only when that compare fails.
     pub fn diff(&self, other: &Machine) -> Option<Divergence> {
         self.compare(other).err()
     }
 
     fn compare(&self, other: &Machine) -> Result<(), Divergence> {
-        for r in Reg::ALL {
-            same(r, self.regs[r.index()], other.regs[r.index()])?;
+        // Each group is compared whole first; only a group that differs is
+        // walked field by field to name what differs.
+        if self.regs != other.regs || self.bnd != other.bnd || self.pc != other.pc {
+            self.compare_registers(other)?;
         }
-        for (i, (a, b)) in self.bnd.iter().zip(&other.bnd).enumerate() {
-            same(format_args!("bnd{i} lower"), a.0, b.0)?;
-            same(format_args!("bnd{i} upper"), a.1, b.1)?;
-        }
-        same("pc", self.pc.encode(), other.pc.encode())?;
         let (s, o) = (&self.stats, &other.stats);
-        for (name, a, b) in [
-            ("instructions", s.instructions, o.instructions),
-            ("loads", s.loads, o.loads),
-            ("stores", s.stores, o.stores),
-            ("calls", s.calls, o.calls),
-            ("indirect_calls", s.indirect_calls, o.indirect_calls),
-            ("rets", s.rets, o.rets),
-            ("syscalls", s.syscalls, o.syscalls),
-            ("vmcalls", s.vmcalls, o.vmcalls),
-            ("vmfuncs", s.vmfuncs, o.vmfuncs),
-            ("wrpkrus", s.wrpkrus, o.wrpkrus),
-            ("bound_checks", s.bound_checks, o.bound_checks),
-            ("aes_chunks", s.aes_chunks, o.aes_chunks),
-            ("allocator_calls", s.allocator_calls, o.allocator_calls),
-            ("sgx_transitions", s.sgx_transitions, o.sgx_transitions),
-            ("signals", s.signals, o.signals),
-            ("preemptions", s.preemptions, o.preemptions),
-            ("dropped_events", s.dropped_events, o.dropped_events),
-            ("cycles", s.cycles.to_bits(), o.cycles.to_bits()),
-        ] {
-            same(format_args!("stats.{name}"), a, b)?;
+        if s != o || s.cycles.to_bits() != o.cycles.to_bits() {
+            self.compare_stats(other)?;
         }
         same_opt("halted", self.halted, other.halted)?;
         for (name, a, b) in [
@@ -1393,36 +1376,8 @@ impl Machine {
             self.forced_alloc_failures,
             other.forced_alloc_failures,
         )?;
-        same(
-            "threads",
-            self.threads.len() as u64,
-            other.threads.len() as u64,
-        )?;
-        for (t, (a, b)) in self.threads.iter().zip(&other.threads).enumerate() {
-            for r in Reg::ALL {
-                same(
-                    format_args!("thread {t} {r}"),
-                    a.regs[r.index()],
-                    b.regs[r.index()],
-                )?;
-            }
-            same(format_args!("thread {t} pc"), a.pc.encode(), b.pc.encode())?;
-            same(
-                format_args!("thread {t} pkru"),
-                a.pkru.0.into(),
-                b.pkru.0.into(),
-            )?;
-            same_opt(format_args!("thread {t} halted"), a.halted, b.halted)?;
-            same(
-                format_args!("thread {t} stack_base"),
-                a.stack_base,
-                b.stack_base,
-            )?;
-            same(
-                format_args!("thread {t} pending_signals"),
-                a.pending_signals,
-                b.pending_signals,
-            )?;
+        if self.threads != other.threads {
+            self.compare_threads(other)?;
         }
         same(
             "active_thread",
@@ -1467,6 +1422,85 @@ impl Machine {
             (a, b) => same("heap", a.is_some() as u64, b.is_some() as u64)?,
         }
         self.space.diff(&other.space).map_or(Ok(()), Err)
+    }
+
+    /// The register part of [`Self::compare`], field by field: the
+    /// general-purpose registers, the bound registers and the pc.
+    fn compare_registers(&self, other: &Machine) -> Result<(), Divergence> {
+        for r in Reg::ALL {
+            same(r, self.regs[r.index()], other.regs[r.index()])?;
+        }
+        for (i, (a, b)) in self.bnd.iter().zip(&other.bnd).enumerate() {
+            same(format_args!("bnd{i} lower"), a.0, b.0)?;
+            same(format_args!("bnd{i} upper"), a.1, b.1)?;
+        }
+        same("pc", self.pc.encode(), other.pc.encode())
+    }
+
+    /// The [`ExecStats`] part of [`Self::compare`], counter by counter,
+    /// `cycles` by bit pattern.
+    fn compare_stats(&self, other: &Machine) -> Result<(), Divergence> {
+        let (s, o) = (&self.stats, &other.stats);
+        for (name, a, b) in [
+            ("instructions", s.instructions, o.instructions),
+            ("loads", s.loads, o.loads),
+            ("stores", s.stores, o.stores),
+            ("calls", s.calls, o.calls),
+            ("indirect_calls", s.indirect_calls, o.indirect_calls),
+            ("rets", s.rets, o.rets),
+            ("syscalls", s.syscalls, o.syscalls),
+            ("vmcalls", s.vmcalls, o.vmcalls),
+            ("vmfuncs", s.vmfuncs, o.vmfuncs),
+            ("wrpkrus", s.wrpkrus, o.wrpkrus),
+            ("bound_checks", s.bound_checks, o.bound_checks),
+            ("aes_chunks", s.aes_chunks, o.aes_chunks),
+            ("allocator_calls", s.allocator_calls, o.allocator_calls),
+            ("sgx_transitions", s.sgx_transitions, o.sgx_transitions),
+            ("signals", s.signals, o.signals),
+            ("preemptions", s.preemptions, o.preemptions),
+            ("dropped_events", s.dropped_events, o.dropped_events),
+            ("cycles", s.cycles.to_bits(), o.cycles.to_bits()),
+        ] {
+            same(format_args!("stats.{name}"), a, b)?;
+        }
+        Ok(())
+    }
+
+    /// The thread-table part of [`Self::compare`]: the thread count, then
+    /// each thread field by field.
+    fn compare_threads(&self, other: &Machine) -> Result<(), Divergence> {
+        same(
+            "threads",
+            self.threads.len() as u64,
+            other.threads.len() as u64,
+        )?;
+        for (t, (a, b)) in self.threads.iter().zip(&other.threads).enumerate() {
+            for r in Reg::ALL {
+                same(
+                    format_args!("thread {t} {r}"),
+                    a.regs[r.index()],
+                    b.regs[r.index()],
+                )?;
+            }
+            same(format_args!("thread {t} pc"), a.pc.encode(), b.pc.encode())?;
+            same(
+                format_args!("thread {t} pkru"),
+                a.pkru.0.into(),
+                b.pkru.0.into(),
+            )?;
+            same_opt(format_args!("thread {t} halted"), a.halted, b.halted)?;
+            same(
+                format_args!("thread {t} stack_base"),
+                a.stack_base,
+                b.stack_base,
+            )?;
+            same(
+                format_args!("thread {t} pending_signals"),
+                a.pending_signals,
+                b.pending_signals,
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -3312,6 +3346,22 @@ mod tests {
     }
 
     #[test]
+    fn cycles_compare_by_bits() {
+        // `==` calls 0.0 and -0.0 equal, but they digest apart; two NaNs
+        // with one bit pattern digest alike though `==` calls them unequal.
+        let base = busy_machine(MachineConfig::default());
+        let (mut a, mut b) = (
+            busy_machine(MachineConfig::default()),
+            busy_machine(MachineConfig::default()),
+        );
+        (a.stats.cycles, b.stats.cycles) = (0.0, -0.0);
+        assert_eq!(verdict(&a, &b).unwrap().component, "stats.cycles");
+        (a.stats.cycles, b.stats.cycles) = (f64::NAN, f64::NAN);
+        assert_eq!(verdict(&a, &b), None);
+        assert_eq!(verdict(&a, &base).unwrap().component, "stats.cycles");
+    }
+
+    #[test]
     fn memo_state_and_sharing_never_count() {
         let base = busy_machine(MachineConfig::default());
         // Cold inline caches: a machine built without them takes the full
@@ -3369,6 +3419,17 @@ mod tests {
         assert_eq!(verdict(&x, &y), None);
         assert_eq!(verdict(&x, &base), None);
         assert_eq!(verdict(&y, &base), None);
+        // Chunk bitmaps: a machine keeps the cache chunks it wrote marked
+        // across a snapshot (a superset of what differs from it), and one
+        // restored from that snapshot has none.
+        let marked = busy_machine(MachineConfig::default());
+        let schedule = marked.event_schedule().cloned().unwrap();
+        let snap = marked.snapshot();
+        let mut cleared = busy_machine(MachineConfig::default());
+        cleared.restore(&snap);
+        cleared.set_event_schedule(schedule);
+        assert_eq!(verdict(&marked, &cleared), None);
+        assert_eq!(verdict(&cleared, &base), None);
         // Runs that stay equal stay equal.
         let (mut a, mut b) = (cold, busy_machine(MachineConfig::default()));
         a.run_until(7).unwrap();

@@ -25,7 +25,7 @@ use crate::machine::{Machine, RunOutcome, STACK_SIZE, STACK_TOP};
 
 /// Saved per-thread context. Slot `tid` holds thread `tid`'s state while
 /// it is parked; the machine's scalar fields hold the active thread's.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadCtx {
     pub(crate) regs: [u64; 16],
     pub(crate) pc: CodeAddr,

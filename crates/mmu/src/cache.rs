@@ -65,6 +65,9 @@ impl<const A: usize> Unit for Chunk<A> {
     }
 }
 
+/// Most chunks a [`Level`] may have: one bit each in [`Level::written`].
+const MAX_CHUNKS: usize = 128;
+
 /// One set-associative LRU cache level with `A` ways.
 ///
 /// A set's tags sit inline in its chunk rather than in a `Vec` per set:
@@ -74,6 +77,11 @@ impl<const A: usize> Unit for Chunk<A> {
 /// reference-counted: a clone (a machine snapshot) copies one pointer
 /// per chunk, and a write copies the 4–8 KiB chunk it touches only while
 /// another clone still shares it.
+///
+/// The level marks each chunk it writes in a bitmap, as each chunk marks
+/// its sets, so a restore from its lineage's base and a compare within
+/// one lineage visit only the marked chunks, not all of L3's 128 (see
+/// `mmu/src/stamp.rs`).
 #[derive(Debug, Clone)]
 struct Level<const A: usize> {
     chunks: Box<[Rc<Chunk<A>>]>,
@@ -84,6 +92,16 @@ struct Level<const A: usize> {
     /// and one from the stamp's base copies back only the marked sets.
     /// Memo state, excluded from the digest and from `compare`'s verdict.
     stamp: Stamp,
+    /// The chunks written since the stamp's base, one bit per chunk: every
+    /// chunk that may differ from the base's has its bit set. A superset
+    /// is safe, so a clone copies the bitmap; a restore clears it. Memo
+    /// state, like the stamp.
+    written: u128,
+}
+
+/// The indices of the set bits of a chunk bitmap, in ascending order.
+fn chunks_in(written: u128) -> impl Iterator<Item = usize> {
+    marked(written as u64).chain(marked((written >> 64) as u64).map(|c| c + 64))
 }
 
 impl<const A: usize> Level<A> {
@@ -92,6 +110,10 @@ impl<const A: usize> Level<A> {
         assert!(
             sets.is_power_of_two() && sets >= CHUNK_SETS as u64,
             "cache sets must be a power of two, at least {CHUNK_SETS}"
+        );
+        assert!(
+            sets as usize / CHUNK_SETS <= MAX_CHUNKS,
+            "at most {MAX_CHUNKS} chunks of {CHUNK_SETS} sets"
         );
         assert!(A <= u8::MAX as usize, "way count must fit a u8");
         // Every chunk starts out as the same empty chunk; the first write
@@ -105,7 +127,14 @@ impl<const A: usize> Level<A> {
             chunks: vec![empty; sets as usize / CHUNK_SETS].into_boxed_slice(),
             set_mask: sets - 1,
             stamp: Stamp::default(),
+            written: 0,
         }
+    }
+
+    /// The bitmap of every chunk, which a rewind or compare outside a
+    /// lineage visits.
+    fn every_chunk(&self) -> u128 {
+        u128::MAX >> (MAX_CHUNKS - self.chunks.len())
     }
 
     /// Looks up (and on miss, fills) `line`; returns whether it hit.
@@ -123,6 +152,7 @@ impl<const A: usize> Level<A> {
         }
         // The set is about to change, shared chunk or not.
         self.stamp.clear();
+        self.written |= 1 << c;
         let chunk = unit_mut(&mut self.chunks[c]);
         chunk.marked |= 1 << s;
         // Move-to-front: shift the `n` tags ahead of the line's old slot
@@ -175,9 +205,9 @@ impl<const A: usize> Level<A> {
     /// (`L1`, `L2`, `L3`) prefixes the component a difference names.
     ///
     /// Two levels of one lineage (see [`crate::stamp`]) differ only in the
-    /// sets either one marked, so of a chunk they do not share only those
-    /// sets are compared; under `debug_assertions` the verdict is checked
-    /// against comparing every set.
+    /// chunks either one marked, and there only in the sets either one
+    /// marked, so only those are compared; under `debug_assertions` the
+    /// verdict is checked against comparing every set.
     fn compare(&self, other: &Self, name: &str) -> Result<(), Divergence> {
         if !self.stamp.same_lineage(&other.stamp) {
             return self.compare_sets(other, name, false);
@@ -187,15 +217,21 @@ impl<const A: usize> Level<A> {
         verdict
     }
 
-    /// [`Self::compare`] over the marked sets of unshared chunks when
-    /// `lineage` holds, over every set otherwise.
+    /// [`Self::compare`] over the marked sets of the unshared chunks
+    /// either side marked when `lineage` holds, over every set otherwise.
     fn compare_sets(&self, other: &Self, name: &str, lineage: bool) -> Result<(), Divergence> {
         same(
             format_args!("{name} sets"),
             self.set_mask + 1,
             other.set_mask + 1,
         )?;
-        for (c, (a, b)) in self.chunks.iter().zip(other.chunks.iter()).enumerate() {
+        let visit = if lineage {
+            self.written | other.written
+        } else {
+            self.every_chunk()
+        };
+        for c in chunks_in(visit) {
+            let (a, b) = (&self.chunks[c], &other.chunks[c]);
             if Rc::ptr_eq(a, b) {
                 continue;
             }
@@ -236,18 +272,25 @@ impl<const A: usize> Level<A> {
 
     /// Rewinds `self` to `src` (any level of the same geometry). A level
     /// that shares `src`'s stamp already holds its set contents and
-    /// returns at once. Otherwise each chunk not already shared with `src`
-    /// is rewound: when the level descends from `src` (see
-    /// [`crate::stamp`]) and owns the chunk alone, by copying back the
-    /// sets it marked, which keeps the chunk its own for the next write;
-    /// else by re-pointing it to `src`'s. The rewound level takes `src`'s
-    /// stamp.
+    /// returns at once. When the level descends from `src` (see
+    /// [`crate::stamp`]), only the chunks it marked may differ: each that
+    /// it owns alone gets the sets it marked copied back, which keeps the
+    /// chunk its own for the next write, and each other one is re-pointed
+    /// to `src`'s. A level of another lineage re-points every chunk not
+    /// already shared with `src`. The rewound level takes `src`'s stamp
+    /// and an empty chunk bitmap.
     fn restore_from(&mut self, src: &Self) {
         if self.stamp.matches(&src.stamp) {
             return;
         }
         let lineage = self.stamp.descends_from(&src.stamp);
-        for (dst, s) in self.chunks.iter_mut().zip(src.chunks.iter()) {
+        let visit = if lineage {
+            self.written
+        } else {
+            self.every_chunk()
+        };
+        for c in chunks_in(visit) {
+            let (dst, s) = (&mut self.chunks[c], &src.chunks[c]);
             if Rc::ptr_eq(dst, s) {
                 continue;
             }
@@ -266,6 +309,7 @@ impl<const A: usize> Level<A> {
             debug_assert_eq!(self.compare_sets(src, "L", false), Ok(()));
         }
         self.stamp.clone_from(&src.stamp);
+        self.written = 0;
     }
 }
 
@@ -357,6 +401,12 @@ impl CacheHierarchy {
     #[cfg(test)]
     pub(crate) fn stamp_ids(&self) -> [u64; 3] {
         [self.l1.stamp.id(), self.l2.stamp.id(), self.l3.stamp.id()]
+    }
+
+    /// Each level's bitmap of written chunks, for tests of the marks.
+    #[cfg(test)]
+    pub(crate) fn written_chunks(&self) -> [u128; 3] {
+        [self.l1.written, self.l2.written, self.l3.written]
     }
 
     /// Feeds the hierarchy's semantic state (all three levels' set
@@ -637,6 +687,55 @@ mod tests {
     }
 
     #[test]
+    fn writes_mark_their_chunk_and_a_restore_clears_the_bitmap() {
+        let mut c = warmed();
+        assert_eq!(c.written_chunks(), [0; 3]);
+        let snap = c.clone();
+        // Misses in L2 set 0x45 (chunk 1) and L3 set 0x1045 (chunk 0x41),
+        // then in the last set of every level; L1 has one chunk.
+        c.access((0x1045 + 9 * 8192) * LINE);
+        c.access((0x1fff + 9 * 8192) * LINE);
+        let marks = [1, 1 << 1 | 1 << 7, 1 << 0x41 | 1 << 127];
+        assert_eq!(c.written_chunks(), marks);
+        // MRU hits, through the same-line memo or the set lookup, write
+        // nothing and mark nothing.
+        c.access((0x1fff + 9 * 8192) * LINE + 8);
+        assert_eq!(c.access((0x1045 + 9 * 8192) * LINE), HitLevel::L1);
+        assert_eq!(c.written_chunks(), marks);
+        // A restore from the base copies back the marked chunks and
+        // clears the bitmap.
+        c.restore_from(&snap);
+        assert_eq!(digest(&c), digest(&snap));
+        assert_eq!(c.written_chunks(), [0; 3]);
+        // A clone keeps the marks, a superset of what differs from it,
+        // and takes a lineage of its own: its restore from the snapshot
+        // rewinds every chunk and clears the bitmap too.
+        c.access((0x1045 + 9 * 8192) * LINE);
+        let mut twin = c.clone();
+        assert_eq!(twin.written_chunks(), [1, 1 << 1, 1 << 0x41]);
+        assert_eq!(verdict(&twin, &c), None);
+        twin.restore_from(&snap);
+        assert_eq!(digest(&twin), digest(&snap));
+        assert_eq!(twin.written_chunks(), [0; 3]);
+    }
+
+    #[test]
+    fn a_lineage_compare_reads_both_sides_chunk_marks() {
+        // Of two clones, only `b` marked L3 chunk 0x41, where the two
+        // differ: a compare either way must visit it.
+        let snap = warmed().clone();
+        let a = snap.clone();
+        let mut b = snap.clone();
+        b.l3.stamp.clear();
+        b.l3.written |= 1 << 0x41;
+        let chunk = unit_mut(&mut b.l3.chunks[0x41]);
+        chunk.marked |= 1 << 5;
+        chunk.tags[5][0] ^= 1;
+        assert_eq!(verdict(&a, &b).unwrap().component, "L3 set 0x1045 way 0");
+        assert_eq!(b.compare(&a).unwrap_err().component, "L3 set 0x1045 way 0");
+    }
+
+    #[test]
     fn copy_back_needs_the_source_to_be_the_base() {
         // `c` descends from `snap` and marks only set 0; `far` differs
         // from `snap` in set 7, which `c` never marked.
@@ -821,6 +920,7 @@ mod tests {
             for chunk in l.chunks.iter_mut().filter_map(Rc::get_mut) {
                 chunk.marked = 0;
             }
+            l.written = 0;
         }
         unmark(&mut c.l1);
         unmark(&mut c.l2);
@@ -836,6 +936,7 @@ mod tests {
                 chunks: l.chunks.clone(),
                 set_mask: l.set_mask,
                 stamp: Stamp::default(),
+                written: l.written,
             }
         }
         CacheHierarchy {
@@ -849,10 +950,11 @@ mod tests {
 
     #[test]
     fn every_digested_component_is_compared_and_named() {
-        // Each write marks its set, like `Level::access`, so the compare
-        // within the lineage must find it too.
+        // Each write marks its chunk and its set, like `Level::access`, so
+        // the compare within the lineage must find it too.
         fn set<const A: usize>(l: &mut Level<A>, set: usize) -> &mut Chunk<A> {
             l.stamp.clear();
+            l.written |= 1 << (set / CHUNK_SETS);
             let chunk = unit_mut(&mut l.chunks[set / CHUNK_SETS]);
             chunk.marked |= 1 << (set % CHUNK_SETS);
             chunk

@@ -210,6 +210,12 @@ impl PhysMemory {
         self.materialized
     }
 
+    /// The allocator cursor: the frame the next allocation hands out.
+    #[cfg(test)]
+    pub(crate) fn next_free_pfn(&self) -> u64 {
+        self.next_free_pfn
+    }
+
     /// The frame `pfn` for reading, or `None` while it is unmaterialized.
     #[inline(always)]
     fn frame(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE as usize]> {

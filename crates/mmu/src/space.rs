@@ -374,16 +374,15 @@ impl AddressSpace {
     /// and returns its id. Later `map`/`unmap` calls affect only the
     /// then-active view, so views can diverge — the mechanism behind the
     /// kernel-assisted page-table-switching technique.
+    ///
+    /// The copy is built one leaf table at a time: each entry keeps its
+    /// frame, flags and protection key, the new tables are allocated in
+    /// the order of the pages they map, and each leaf table's entries go
+    /// in with one write.
     pub fn add_view(&mut self) -> u16 {
         self.gen += 1;
-        let new_pt = PageTable::new(&mut self.pm);
-        for (va, pte) in self.pt().mappings(&mut self.pm) {
-            let flags = pte.flags();
-            new_pt.map(&mut self.pm, va, pte.addr(), flags);
-            if pte.pkey() != 0 {
-                new_pt.set_pkey(&mut self.pm, va, pte.pkey());
-            }
-        }
+        let leaves = self.pt().mappings(&mut self.pm);
+        let new_pt = PageTable::with_leaves(&mut self.pm, &leaves);
         self.views.push(new_pt);
         (self.views.len() - 1) as u16
     }
@@ -405,6 +404,12 @@ impl AddressSpace {
     /// Maps `len` bytes starting at page-aligned `start` as anonymous
     /// memory with `flags`.
     ///
+    /// The upper table levels are walked once per 2 MiB leaf table, and
+    /// each leaf table's run of entries goes in with one write. Each leaf
+    /// table's first page takes its frame before any table its walk
+    /// creates, so frame numbers and entries are those of a page-by-page
+    /// loop.
+    ///
     /// # Panics
     ///
     /// Panics if `start` is not page aligned; mapping is a kernel-side
@@ -413,10 +418,10 @@ impl AddressSpace {
         assert_eq!(start.page_offset(), 0, "map_region requires page alignment");
         self.gen += 1;
         let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            self.pt()
-                .map_anon(&mut self.pm, VirtAddr(start.0 + i * PAGE_SIZE), flags);
-        }
+        self.pt()
+            .map_fresh(&mut self.pm, start, pages, flags, true, |pm| {
+                Some(pm.alloc_frame())
+            });
     }
 
     /// Fallible variant of [`Self::map_region`]: returns `false` when the
@@ -425,6 +430,11 @@ impl AddressSpace {
     /// of simulated RAM surfaces as a typed allocation failure rather
     /// than a panic.
     ///
+    /// It walks and writes one leaf table at a time like
+    /// [`Self::map_region`], but each leaf table's first page takes its
+    /// frame after the tables its walk creates. On exhaustion the entries
+    /// of the pages already mapped are written before it returns.
+    ///
     /// # Panics
     ///
     /// Panics if `start` is not page aligned, like [`Self::map_region`].
@@ -432,16 +442,14 @@ impl AddressSpace {
         assert_eq!(start.page_offset(), 0, "map_region requires page alignment");
         self.gen += 1;
         let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            if self
-                .pt()
-                .try_map_anon(&mut self.pm, VirtAddr(start.0 + i * PAGE_SIZE), flags)
-                .is_none()
-            {
-                return false;
-            }
-        }
-        true
+        self.pt().map_fresh(
+            &mut self.pm,
+            start,
+            pages,
+            flags,
+            false,
+            PhysMemory::try_alloc_frame,
+        )
     }
 
     /// Unmaps the pages covering `[start, start+len)` and flushes the TLB.
@@ -457,30 +465,38 @@ impl AddressSpace {
 
     /// `mprotect(2)`: changes page permissions over a range and flushes the
     /// affected TLB entries. Returns `false` if any page was unmapped.
+    ///
+    /// The range is the `len.div_ceil(PAGE_SIZE).max(1)` pages from the
+    /// page holding `start`. It is walked once per table, skipping absent
+    /// subtrees, so the cost follows what is mapped rather than `len`; the
+    /// TLB is flushed by one scan of its entries, with one page flush
+    /// counted per page. Pages past the 48-bit space the page tables cover
+    /// ([`crate::VA_BITS`]), including any past `u64::MAX`, count as
+    /// unmapped, so the call fails, and as page flushes; they never alias
+    /// low pages.
     pub fn mprotect(&mut self, start: VirtAddr, len: u64, prot: Prot) -> bool {
         self.mprotect_calls += 1;
-        self.gen += 1;
-        let pages = len.div_ceil(PAGE_SIZE).max(1);
-        let mut ok = true;
-        for i in 0..pages {
-            let va = VirtAddr(start.page_base().0 + i * PAGE_SIZE);
-            ok &= self.pt().protect(&mut self.pm, va, prot.flags());
-            self.tlb.flush_page(va.vpn());
-        }
-        ok
+        let flags = prot.flags();
+        self.update_range(start, len, |pte| pte.set_flags(flags))
     }
 
-    /// `pkey_mprotect(2)`: assigns protection key `key` to a range.
+    /// `pkey_mprotect(2)`: assigns protection key `key` to a range and
+    /// flushes the affected TLB entries. Returns `false` if any page was
+    /// unmapped. The range, its walk, the flush and the pages past the
+    /// 48-bit space are as for [`Self::mprotect`].
     pub fn pkey_mprotect(&mut self, start: VirtAddr, len: u64, key: u8) -> bool {
+        self.update_range(start, len, |pte| pte.set_pkey(key))
+    }
+
+    /// Applies `update` to the leaf entries of the mapped pages among the
+    /// `len.div_ceil(PAGE_SIZE).max(1)` pages from `start`'s, then
+    /// flushes those pages from the TLB; `true` if every page is mapped.
+    fn update_range(&mut self, start: VirtAddr, len: u64, update: impl Fn(&mut Pte)) -> bool {
         self.gen += 1;
-        let pages = len.div_ceil(PAGE_SIZE).max(1);
-        let mut ok = true;
-        for i in 0..pages {
-            let va = VirtAddr(start.page_base().0 + i * PAGE_SIZE);
-            ok &= self.pt().set_pkey(&mut self.pm, va, key);
-            self.tlb.flush_page(va.vpn());
-        }
-        ok
+        let (vpn, pages) = (start.vpn(), len.div_ceil(PAGE_SIZE).max(1));
+        let mapped = self.pt().update_range(&mut self.pm, vpn, pages, update);
+        self.tlb.flush_range(vpn, pages);
+        mapped == pages
     }
 
     /// Guest-physical frame number backing the page of `va`, if mapped.
@@ -980,7 +996,8 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::SENSITIVE_BASE;
+    use crate::addr::{PAGE_SHIFT, SENSITIVE_BASE};
+    use crate::VA_BITS;
 
     fn space_with_page(va: u64, flags: PageFlags) -> AddressSpace {
         let mut s = AddressSpace::new();
@@ -1152,6 +1169,270 @@ mod tests {
         assert_eq!(s.tlb_stats().misses, snap.tlb_stats().misses + 1);
         assert!(s.pm.shares_frame(&snap.pm, leaf));
         assert_eq!(pm_digest(&s), pm_digest(&snap));
+    }
+
+    /// What a space built one leaf table at a time and one built page by
+    /// page must agree on: every view's leaf mappings, the allocator
+    /// cursor, the materialized frames, and `diff` (which covers the
+    /// frame contents, the TLB and the views' roots).
+    fn assert_same_tables(a: &mut AddressSpace, b: &mut AddressSpace, what: &str) {
+        assert_eq!(verdict(a, b), None, "{what}");
+        assert_eq!(a.pm.next_free_pfn(), b.pm.next_free_pfn(), "{what}");
+        assert_eq!(a.pm.frame_count(), b.pm.frame_count(), "{what}");
+        assert_eq!(a.views.len(), b.views.len(), "{what}");
+        for (pa, pb) in a.views.clone().into_iter().zip(b.views.clone()) {
+            assert_eq!(pa.mappings(&mut a.pm), pb.mappings(&mut b.pm), "{what}");
+        }
+    }
+
+    /// A space with some tables in place: a page at 0x1000, one in the
+    /// 2 MiB leaf table below 0x40_0000 and one past the 1 GiB mark.
+    fn seeded_tables() -> AddressSpace {
+        let mut s = AddressSpace::new();
+        s.map_region(VirtAddr(0x1000), PAGE_SIZE, PageFlags::rw());
+        s.map_region(VirtAddr(0x3f_f000), PAGE_SIZE, PageFlags::ro());
+        s.map_region(VirtAddr(0x4000_3000), PAGE_SIZE, PageFlags::rx());
+        s
+    }
+
+    /// Regions that start mid-table and straddle 2 MiB, 1 GiB and
+    /// 512 GiB boundaries, with lengths that are not a page multiple,
+    /// one region of more than a leaf table, and an empty one.
+    const REGIONS: [(u64, u64); 8] = [
+        (0x2000, 3 * PAGE_SIZE),
+        (0x1f_e000, 5 * PAGE_SIZE),
+        (0x3f_d000, 4 * PAGE_SIZE + 1),
+        (0x3fff_e000, 4 * PAGE_SIZE),
+        (0x7f_ffff_f000, 2 * PAGE_SIZE),
+        (0x12_3000, 600 * PAGE_SIZE),
+        (SENSITIVE_BASE - PAGE_SIZE, 3 * PAGE_SIZE - 7),
+        (0x5000, 0),
+    ];
+
+    /// The page-by-page [`AddressSpace::map_region`]: each page takes its
+    /// frame, then walks from the root, creating tables as it goes.
+    fn map_by_page(s: &mut AddressSpace, start: u64, len: u64, flags: PageFlags) {
+        for i in 0..len.div_ceil(PAGE_SIZE) {
+            let va = VirtAddr(start + i * PAGE_SIZE);
+            s.pt().map_anon(&mut s.pm, va, flags);
+        }
+    }
+
+    /// The page-by-page [`AddressSpace::try_map_region`]: each page walks
+    /// from the root, creating tables, then takes its frame.
+    fn try_map_by_page(s: &mut AddressSpace, start: u64, len: u64, flags: PageFlags) -> bool {
+        (0..len.div_ceil(PAGE_SIZE)).all(|i| {
+            let va = VirtAddr(start + i * PAGE_SIZE);
+            s.pt().try_map_anon(&mut s.pm, va, flags).is_some()
+        })
+    }
+
+    #[test]
+    fn map_region_matches_the_page_by_page_loop() {
+        let base = seeded_tables();
+        for (start, len) in REGIONS {
+            let what = format!("{start:#x} + {len:#x}");
+            let (mut a, mut b) = (base.clone(), base.clone());
+            a.map_region(VirtAddr(start), len, PageFlags::rw());
+            map_by_page(&mut b, start, len, PageFlags::rw());
+            assert_same_tables(&mut a, &mut b, &what);
+        }
+    }
+
+    #[test]
+    fn try_map_region_matches_the_page_by_page_loop_down_to_exhaustion() {
+        let base = seeded_tables();
+        for (start, len) in REGIONS {
+            let (mut a, mut b) = (base.clone(), base.clone());
+            assert!(a.try_map_region(VirtAddr(start), len, PageFlags::rw()));
+            assert!(try_map_by_page(&mut b, start, len, PageFlags::rw()));
+            assert_same_tables(&mut a, &mut b, &format!("{start:#x} + {len:#x}"));
+            // A frame limit at every point of the region's allocations,
+            // running out on a table or on a data frame.
+            let (first, used) = (base.pm.next_free_pfn(), a.pm.next_free_pfn());
+            for limit in first..used {
+                let what = format!("{start:#x} + {len:#x}, limit {limit}");
+                let (mut a, mut b) = (base.clone(), base.clone());
+                a.set_frame_limit(Some(limit));
+                b.set_frame_limit(Some(limit));
+                assert!(!a.try_map_region(VirtAddr(start), len, PageFlags::rw()));
+                assert!(!try_map_by_page(&mut b, start, len, PageFlags::rw()));
+                assert_same_tables(&mut a, &mut b, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn add_view_matches_the_page_by_page_copy() {
+        let mut base = seeded_tables();
+        for (start, len) in REGIONS {
+            base.map_region(VirtAddr(start), len, PageFlags::rw());
+        }
+        // Protection keys and flags on pages of several leaf tables, and
+        // accessed and dirty bits set by the walker.
+        base.pkey_mprotect(VirtAddr(0x1f_f000), 2 * PAGE_SIZE, 5);
+        base.pkey_mprotect(VirtAddr(0x4000_0000), PAGE_SIZE, 15);
+        base.mprotect(VirtAddr(0x12_4000), 3 * PAGE_SIZE, Prot::ReadExec);
+        base.write_u64(VirtAddr(0x2008), 1).unwrap();
+        base.read_u64(VirtAddr(0x3000)).unwrap();
+        let mut a = base.clone();
+        a.add_view();
+        // The page-by-page copy: each leaf mapped, then its key set.
+        let mut b = base.clone();
+        let new_pt = PageTable::new(&mut b.pm);
+        for (va, pte) in b.pt().mappings(&mut b.pm) {
+            new_pt.map(&mut b.pm, va, pte.addr(), pte.flags());
+            if pte.pkey() != 0 {
+                new_pt.set_pkey(&mut b.pm, va, pte.pkey());
+            }
+        }
+        b.views.push(new_pt);
+        let pkeys = |s: &mut AddressSpace| {
+            let pt = s.views[1];
+            let leaves = pt.mappings(&mut s.pm);
+            leaves.iter().filter(|(_, pte)| pte.pkey() != 0).count()
+        };
+        assert_eq!(pkeys(&mut a), 3);
+        assert_same_tables(&mut a, &mut b, "add_view");
+    }
+
+    /// The page-by-page [`AddressSpace::mprotect`] or, with `key`,
+    /// [`AddressSpace::pkey_mprotect`]: one walk from the root and one
+    /// `invlpg` per page.
+    fn update_by_page(
+        s: &mut AddressSpace,
+        start: u64,
+        len: u64,
+        prot: Prot,
+        key: Option<u8>,
+    ) -> bool {
+        if key.is_none() {
+            s.mprotect_calls += 1;
+        }
+        let mut ok = true;
+        for i in 0..len.div_ceil(PAGE_SIZE).max(1) {
+            let va = VirtAddr((start & !(PAGE_SIZE - 1)) + i * PAGE_SIZE);
+            ok &= match key {
+                Some(key) => s.pt().set_pkey(&mut s.pm, va, key),
+                None => s.pt().protect(&mut s.pm, va, prot.flags()),
+            };
+            s.tlb.flush_page(va.vpn());
+        }
+        ok
+    }
+
+    /// A space with runs of mapped pages around table boundaries, up to
+    /// the last page of the 48-bit space, each with a TLB entry.
+    fn protect_target() -> AddressSpace {
+        let mut s = seeded_tables();
+        let runs = [
+            (0x1000, 8),
+            (0x1f_c000, 8),
+            (0x3fff_f000, 2),
+            (0x7f_ffff_f000, 2),
+            (SENSITIVE_BASE, 3),
+            (0xffff_ffff_e000, 2),
+        ];
+        for (start, pages) in runs {
+            s.map_region(VirtAddr(start), pages * PAGE_SIZE, PageFlags::rw());
+            for page in 0..pages {
+                let va = VirtAddr(start + page * PAGE_SIZE);
+                if va.is_canonical_user() {
+                    s.read_u64(va).unwrap();
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn range_protection_matches_the_page_by_page_loop() {
+        let base = protect_target();
+        let anchors = [
+            0x0u64,
+            0x1f_c000,
+            0x3fff_f000,
+            0x7f_ffff_f000,
+            SENSITIVE_BASE,
+            0xffff_ffff_e000,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..400 {
+            let anchor = anchors[(next() % anchors.len() as u64) as usize];
+            // A few pages either side of the anchor, at any byte offset,
+            // for zero to a leaf table and a half of pages (never past
+            // the 48-bit space: the page loop would alias low pages).
+            let top = 1u64 << VA_BITS;
+            let start = (anchor + next() % (8 * PAGE_SIZE)).saturating_sub(3 * PAGE_SIZE);
+            let start = start.min(top - 1);
+            let len = match next() % 4 {
+                0 => next() % 3,
+                1 => next() % (12 * PAGE_SIZE),
+                _ => next() % (768 * PAGE_SIZE),
+            };
+            let len = len.min(top - (start & !(PAGE_SIZE - 1)));
+            let prot = [Prot::None, Prot::Read, Prot::ReadWrite, Prot::ReadExec][case % 4];
+            let key = (case % 3 == 0).then(|| (next() % 16) as u8);
+            let what = format!("case {case}: {start:#x} + {len:#x}, {prot:?}, key {key:?}");
+            let (mut a, mut b) = (base.clone(), base.clone());
+            let ok = match key {
+                Some(key) => a.pkey_mprotect(VirtAddr(start), len, key),
+                None => a.mprotect(VirtAddr(start), len, prot),
+            };
+            assert_eq!(ok, update_by_page(&mut b, start, len, prot, key), "{what}");
+            assert_same_tables(&mut a, &mut b, &what);
+        }
+    }
+
+    #[test]
+    fn ranges_past_the_page_tables_fail_without_aliasing() {
+        let base = protect_target();
+        let top = 1u64 << VA_BITS;
+        // The last mapped page of the 48-bit space and two past it; then
+        // ranges wholly past it, the last reaching past `u64::MAX`.
+        let cases = [
+            (top - 2 * PAGE_SIZE, 4 * PAGE_SIZE, 2),
+            (top, 2 * PAGE_SIZE, 0),
+            (top + 0x1000, 1, 0),
+            (!(PAGE_SIZE - 1), 2 * PAGE_SIZE, 0),
+            (u64::MAX, u64::MAX, 0),
+        ];
+        for (start, len, inside) in cases {
+            let pages = len.div_ceil(PAGE_SIZE).max(1);
+            let what = format!("{start:#x} + {len:#x}");
+            for key in [None, Some(7)] {
+                let mut s = base.clone();
+                let ok = match key {
+                    Some(key) => s.pkey_mprotect(VirtAddr(start), len, key),
+                    None => s.mprotect(VirtAddr(start), len, Prot::Read),
+                };
+                assert!(!ok, "{what}");
+                assert_eq!(
+                    s.tlb_stats().page_flushes,
+                    base.tlb_stats().page_flushes + pages,
+                    "{what}"
+                );
+                // Only the pages inside the space changed: the same call
+                // on them alone, page by page, then a flush of the rest,
+                // leaves an equal space.
+                let mut r = base.clone();
+                if inside > 0 {
+                    let len = inside * PAGE_SIZE;
+                    assert!(update_by_page(&mut r, start, len, Prot::Read, key));
+                } else if key.is_none() {
+                    r.mprotect_calls += 1;
+                }
+                r.tlb
+                    .flush_range((start >> PAGE_SHIFT) + inside, pages - inside);
+                assert_same_tables(&mut s, &mut r, &what);
+            }
+        }
     }
 
     #[test]
@@ -1720,5 +2001,20 @@ mod tests {
             assert_eq!(verdict(s, &fresh), None);
         }
         assert_eq!(verdict(&undone, &touched), None);
+        // Chunk bitmaps: a space keeps the cache chunks it wrote marked
+        // across a clone (a superset of what differs from the clone), and
+        // one rewound from that clone has none.
+        let marked = busy_space();
+        let clone = marked.clone();
+        let mut cleared = busy_space();
+        cleared.write_u64(VirtAddr(0x1800), 9).unwrap();
+        cleared.restore_from(&clone);
+        assert_ne!(marked.cache.written_chunks(), [0; 3]);
+        assert_eq!(cleared.cache.written_chunks(), [0; 3]);
+        for s in [&marked, &cleared] {
+            assert_eq!(verdict(s, &clone), None);
+            assert_eq!(verdict(s, &fresh), None);
+        }
+        assert_eq!(verdict(&marked, &cleared), None);
     }
 }

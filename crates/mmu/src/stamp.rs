@@ -4,8 +4,10 @@
 //! A rewindable table (physical memory, a cache level) carries a [`Stamp`]
 //! of two ids, and each of its units carries a `u64` write mask: the
 //! 64-byte lines of a frame (and the slots of a block of frames), the sets
-//! of a 64-set cache chunk. The TLB carries a stamp without masks: a
-//! restore skips it on equal ids and otherwise copies all 64 entries.
+//! of a 64-set cache chunk. A cache level also marks the chunks it wrote
+//! in a bitmap of its own, the level-wide mask that a block's slot mask
+//! is for its frames. The TLB carries a stamp without masks: a restore
+//! skips it on equal ids and otherwise copies all 64 entries.
 //!
 //! - `id` is shared with every clone holding the same contents, until one
 //!   side writes. Two live tables with the same nonzero `id` hold the same
@@ -27,7 +29,11 @@
 //! unit not already shared is re-pointed.
 //!
 //! Four rules keep the invariant:
-//! - Every write marks its unit and clears `id` before it writes.
+//! - Every write marks its unit and clears `id` before it writes; a cache
+//!   write also sets its chunk's bit in the level's bitmap, so a restore
+//!   from the base and a compare within the lineage visit only the marked
+//!   chunks. The bitmap may hold more bits than chunks that differ (a
+//!   clone keeps it), never fewer; a restore clears it.
 //! - A copy-on-write copy starts with an **empty** mask, then marks the
 //!   write that caused it ([`unit_mut`]). This is sound because a shared
 //!   unit equals the lineage's: a table's units become shared only by a

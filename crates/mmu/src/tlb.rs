@@ -130,6 +130,20 @@ impl Tlb {
         }
     }
 
+    /// Invalidates the entries of the `pages` pages from page number
+    /// `vpn` in every address space, counting one page flush per page:
+    /// the [`Self::flush_page`] loop over the range, in one scan of the
+    /// entries. No page past `u64::MAX` aliases a low one.
+    pub fn flush_range(&mut self, vpn: u64, pages: u64) {
+        self.stats.page_flushes = self.stats.page_flushes.wrapping_add(pages);
+        for e in self.entries.iter_mut() {
+            if e.valid && e.vpn.wrapping_sub(vpn) < pages {
+                self.stamp.clear();
+                e.valid = false;
+            }
+        }
+    }
+
     /// Invalidates everything (`mov cr3` without PCID). A flush of a TLB
     /// with no valid entry changes none, so it keeps the stamp.
     pub fn flush_all(&mut self) {

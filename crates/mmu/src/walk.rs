@@ -5,12 +5,25 @@
 //! the levels it touches; the CPU cost model converts walks into memory
 //! accesses when a TLB miss occurs.
 
-use crate::addr::{PhysAddr, VirtAddr};
+use std::ops::Range;
+
+use crate::addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE, VA_BITS};
 use crate::phys::PhysMemory;
 use crate::pte::{PageFlags, Pte};
 
 /// Number of paging levels (PML4 .. PT).
 pub const LEVELS: u32 = 4;
+
+/// Entries per table; a leaf table maps this many pages.
+const ENTRIES: u64 = 512;
+
+/// Pages in the [`VA_BITS`]-bit space the tables cover.
+const VA_PAGES: u64 = 1 << (VA_BITS - PAGE_SHIFT);
+
+/// The 2 MiB region whose pages one leaf table maps.
+fn leaf_region(va: VirtAddr) -> u64 {
+    va.0 >> (PAGE_SHIFT + 9)
+}
 
 /// A 4-level page table identified by its root frame.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +98,16 @@ impl PageTable {
         })
     }
 
-    fn walk_or_create(&self, pm: &mut PhysMemory, va: VirtAddr) -> PhysAddr {
+    /// The leaf table covering `va`: the three upper levels are walked
+    /// once, and each absent table is created with a frame from `alloc`.
+    /// `None` once `alloc` runs out; the tables created before stay in
+    /// place (they are valid, just empty).
+    fn leaf_table(
+        &self,
+        pm: &mut PhysMemory,
+        va: VirtAddr,
+        alloc: &mut impl FnMut(&mut PhysMemory) -> Option<PhysAddr>,
+    ) -> Option<PhysAddr> {
         let mut table = self.root;
         for level in (1..LEVELS).rev() {
             let entry_addr = Self::entry_addr(table, va, level);
@@ -93,62 +115,138 @@ impl PageTable {
             table = if pte.present() {
                 pte.addr()
             } else {
-                let next = pm.alloc_frame();
+                let next = alloc(pm)?;
                 pm.write_u64(entry_addr, Pte::table(next).0);
                 next
             };
         }
-        Self::entry_addr(table, va, 0)
+        Some(table)
     }
 
-    /// Fallible variant of `walk_or_create`: `None` once the frame
-    /// allocator is exhausted. Intermediate tables created before the
-    /// exhaustion point stay in place (they are valid, just empty).
-    fn try_walk_or_create(&self, pm: &mut PhysMemory, va: VirtAddr) -> Option<PhysAddr> {
-        let mut table = self.root;
-        for level in (1..LEVELS).rev() {
-            let entry_addr = Self::entry_addr(table, va, level);
-            let pte = Pte(pm.read_u64(entry_addr));
-            table = if pte.present() {
-                pte.addr()
-            } else {
-                let next = pm.try_alloc_frame()?;
-                pm.write_u64(entry_addr, Pte::table(next).0);
-                next
-            };
-        }
-        Some(Self::entry_addr(table, va, 0))
-    }
-
-    /// Maps the page containing `va` to `frame` with `flags`.
+    /// Maps `pages` consecutive pages from page-aligned `start` to fresh
+    /// frames from `alloc`, with `flags`. The upper levels are walked once
+    /// per leaf table, and each leaf table's run of entries goes in with
+    /// one write.
     ///
-    /// Remapping an already-mapped page overwrites the previous entry (the
-    /// caller is the "kernel" and is trusted to flush the TLB).
-    pub fn map(&self, pm: &mut PhysMemory, va: VirtAddr, frame: PhysAddr, flags: PageFlags) {
-        let leaf = self.walk_or_create(pm, va);
-        pm.write_u64(leaf, Pte::leaf(frame, flags).0);
+    /// Frames come in the order a page-by-page loop takes them: with
+    /// `data_first`, each leaf table's first page takes its data frame
+    /// before the walk creates any missing table, otherwise after; later
+    /// pages of the table take only their data frame. Returns `false`
+    /// once `alloc` runs out, after writing the entries of the pages
+    /// mapped so far.
+    pub(crate) fn map_fresh(
+        &self,
+        pm: &mut PhysMemory,
+        start: VirtAddr,
+        pages: u64,
+        flags: PageFlags,
+        data_first: bool,
+        mut alloc: impl FnMut(&mut PhysMemory) -> Option<PhysAddr>,
+    ) -> bool {
+        let mut run = [0u8; PAGE_SIZE as usize];
+        let (mut va, mut left) = (start, pages);
+        while left > 0 {
+            let n = (ENTRIES - va.pt_index(0)).min(left);
+            let mut head = None;
+            if data_first {
+                head = alloc(pm);
+                if head.is_none() {
+                    return false;
+                }
+            }
+            let Some(table) = self.leaf_table(pm, va, &mut alloc) else {
+                return false;
+            };
+            let mut mapped = 0;
+            while mapped < n {
+                let Some(frame) = head.take().or_else(|| alloc(pm)) else {
+                    break;
+                };
+                let at = mapped as usize * 8;
+                run[at..at + 8].copy_from_slice(&Pte::leaf(frame, flags).0.to_le_bytes());
+                mapped += 1;
+            }
+            pm.write(Self::entry_addr(table, va, 0), &run[..mapped as usize * 8]);
+            if mapped < n {
+                return false;
+            }
+            left -= n;
+            va = VirtAddr(va.0.wrapping_add(n * PAGE_SIZE));
+        }
+        true
     }
 
-    /// Maps the page containing `va` to a freshly allocated zero frame.
-    pub fn map_anon(&self, pm: &mut PhysMemory, va: VirtAddr, flags: PageFlags) -> PhysAddr {
+    /// A new table mapping each `(va, pte)` of `leaves`, sorted by `va`
+    /// as [`Self::mappings`] lists them, to `pte`'s frame with its flags
+    /// and protection key. Tables are allocated in the order of the
+    /// leaves; the upper levels are walked once per leaf table, and each
+    /// leaf table's entries go in with one write.
+    pub(crate) fn with_leaves(pm: &mut PhysMemory, leaves: &[(VirtAddr, Pte)]) -> Self {
+        let pt = Self::new(pm);
+        let mut alloc = |pm: &mut PhysMemory| Some(pm.alloc_frame());
+        let mut run = [0u8; PAGE_SIZE as usize];
+        let mut rest = leaves;
+        while let Some(&(va, _)) = rest.first() {
+            let n = rest
+                .iter()
+                .position(|&(v, _)| leaf_region(v) != leaf_region(va))
+                .unwrap_or(rest.len());
+            let (group, tail) = rest.split_at(n);
+            let table = pt
+                .leaf_table(pm, va, &mut alloc)
+                .expect("alloc_frame panics rather than run out");
+            // The table is new, so the slots between the leaves hold
+            // zeros already and get zeros.
+            let first = va.pt_index(0);
+            let mut len = 0;
+            for &(v, pte) in group {
+                let mut leaf = Pte::leaf(pte.addr(), pte.flags());
+                leaf.set_pkey(pte.pkey());
+                let at = (v.pt_index(0) - first) as usize * 8;
+                run[len..at].fill(0);
+                run[at..at + 8].copy_from_slice(&leaf.0.to_le_bytes());
+                len = at + 8;
+            }
+            pm.write(Self::entry_addr(table, va, 0), &run[..len]);
+            rest = tail;
+        }
+        pt
+    }
+
+    /// Maps the page containing `va` to `frame` with `flags`: the
+    /// page-by-page reference that the run-building paths are tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn map(&self, pm: &mut PhysMemory, va: VirtAddr, frame: PhysAddr, flags: PageFlags) {
+        let table = self
+            .leaf_table(pm, va, &mut |pm| Some(pm.alloc_frame()))
+            .expect("alloc_frame panics rather than run out");
+        pm.write_u64(Self::entry_addr(table, va, 0), Pte::leaf(frame, flags).0);
+    }
+
+    /// Maps the page containing `va` to a freshly allocated frame, taken
+    /// before any table the walk creates (the [`Self::map_fresh`]
+    /// reference with `data_first`).
+    #[cfg(test)]
+    pub(crate) fn map_anon(&self, pm: &mut PhysMemory, va: VirtAddr, flags: PageFlags) -> PhysAddr {
         let frame = pm.alloc_frame();
         self.map(pm, va, frame, flags);
         frame
     }
 
-    /// Fallible variant of [`Self::map_anon`]: returns `None` when the
-    /// physical frame allocator is exhausted (see
-    /// [`PhysMemory::set_frame_limit`]) instead of panicking, so demand
-    /// paths can surface a typed out-of-memory error.
-    pub fn try_map_anon(
+    /// Fallible variant of [`Self::map_anon`] that takes the frame after
+    /// the tables (the [`Self::map_fresh`] reference without
+    /// `data_first`): `None` once the frame allocator is exhausted.
+    #[cfg(test)]
+    pub(crate) fn try_map_anon(
         &self,
         pm: &mut PhysMemory,
         va: VirtAddr,
         flags: PageFlags,
     ) -> Option<PhysAddr> {
-        let leaf = self.try_walk_or_create(pm, va)?;
+        let table = self.leaf_table(pm, va, &mut PhysMemory::try_alloc_frame)?;
         let frame = pm.try_alloc_frame()?;
-        pm.write_u64(leaf, Pte::leaf(frame, flags).0);
+        pm.write_u64(Self::entry_addr(table, va, 0), Pte::leaf(frame, flags).0);
         Some(frame)
     }
 
@@ -163,7 +261,8 @@ impl PageTable {
     /// Applies `update` to the leaf entry of `va`; returns `false` if the
     /// page is unmapped. An update that leaves the entry as it was writes
     /// nothing.
-    pub fn update_leaf(
+    #[cfg(test)]
+    fn update_leaf(
         &self,
         pm: &mut PhysMemory,
         va: VirtAddr,
@@ -178,13 +277,73 @@ impl PageTable {
         }
     }
 
-    /// Changes the permission flags of the page containing `va`.
-    pub fn protect(&self, pm: &mut PhysMemory, va: VirtAddr, flags: PageFlags) -> bool {
+    /// Applies `update` to the leaf entry of every mapped page among the
+    /// `pages` pages from page number `vpn`, walking each table once and
+    /// skipping absent subtrees; an update that leaves an entry as it was
+    /// writes nothing. Returns how many of the pages are mapped. Pages
+    /// past the [`VA_BITS`]-bit space the tables cover never are: they do
+    /// not alias the low pages their address bits would index.
+    pub(crate) fn update_range(
+        &self,
+        pm: &mut PhysMemory,
+        vpn: u64,
+        pages: u64,
+        update: impl Fn(&mut Pte),
+    ) -> u64 {
+        let end = vpn.saturating_add(pages).min(VA_PAGES);
+        if vpn >= end {
+            return 0;
+        }
+        Self::update_table(pm, self.root, LEVELS - 1, 0, vpn..end, &update)
+    }
+
+    /// [`Self::update_range`] over the pages of `range` that `table`, a
+    /// table at `level` whose first page is `base`, covers.
+    fn update_table(
+        pm: &mut PhysMemory,
+        table: PhysAddr,
+        level: u32,
+        base: u64,
+        range: Range<u64>,
+        update: &impl Fn(&mut Pte),
+    ) -> u64 {
+        let span = 1u64 << (9 * level);
+        let first = (range.start.max(base) - base) / span;
+        let last = (range.end.min(base + span * ENTRIES) - 1 - base) / span;
+        let mut mapped = 0;
+        for index in first..=last {
+            let at = PhysAddr(table.0 + index * 8);
+            let pte = Pte(pm.read_u64(at));
+            if !pte.present() {
+                continue;
+            }
+            if level > 0 {
+                let base = base + index * span;
+                mapped +=
+                    Self::update_table(pm, pte.addr(), level - 1, base, range.clone(), update);
+                continue;
+            }
+            let mut new = pte;
+            update(&mut new);
+            if new != pte {
+                pm.write_u64(at, new.0);
+            }
+            mapped += 1;
+        }
+        mapped
+    }
+
+    /// Changes the permission flags of the page containing `va`: the
+    /// page-by-page reference for [`Self::update_range`].
+    #[cfg(test)]
+    pub(crate) fn protect(&self, pm: &mut PhysMemory, va: VirtAddr, flags: PageFlags) -> bool {
         self.update_leaf(pm, va, |pte| pte.set_flags(flags))
     }
 
-    /// Assigns MPK protection key `key` to the page containing `va`.
-    pub fn set_pkey(&self, pm: &mut PhysMemory, va: VirtAddr, key: u8) -> bool {
+    /// Assigns MPK protection key `key` to the page containing `va`: the
+    /// page-by-page reference for [`Self::update_range`].
+    #[cfg(test)]
+    pub(crate) fn set_pkey(&self, pm: &mut PhysMemory, va: VirtAddr, key: u8) -> bool {
         self.update_leaf(pm, va, |pte| pte.set_pkey(key))
     }
 
@@ -212,7 +371,7 @@ impl PageTable {
         va_prefix: u64,
         out: &mut Vec<(VirtAddr, Pte)>,
     ) {
-        for index in 0..512u64 {
+        for index in 0..ENTRIES {
             let pte = Pte(pm.read_u64(PhysAddr(table.0 + index * 8)));
             if !pte.present() {
                 continue;

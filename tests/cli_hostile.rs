@@ -5,7 +5,9 @@
 //! --address rw --exposure` and `replay --crash-sweep`, which drives the
 //! snapshot restore and the state `diff` with programs nobody wrote by
 //! hand. A second pass feeds extreme `--at`, `--spacing`, `--region` and
-//! `--fuel` values to the unmutated listings. Every run must end with exit
+//! `--fuel` values to the unmutated listings, and a third has guest
+//! programs call `mprotect` and `pkey_mprotect` on ranges far past what is
+//! mapped. Every run must end with exit
 //! status 0 (success), 1 (a rejected input or a trapped run) or 2 (out of
 //! fuel), within a deadline, and without a panic. The generator is the
 //! workspace's seeded SplitMix64 stream, so every run checks the same
@@ -42,7 +44,8 @@ const DEADLINE: Duration = Duration::from_secs(60);
 
 /// Runs `msentry` with `args` and checks the contract: it exits by itself
 /// within [`DEADLINE`], with status 0, 1 or 2, and prints no panic.
-fn probe(args: &[&str], scratch: &Path, what: &str) {
+/// Returns the exit status and what the run printed.
+fn probe(args: &[&str], scratch: &Path, what: &str) -> (i32, String) {
     let (out, err) = (scratch.join("out.txt"), scratch.join("err.txt"));
     let mut child = Command::new(MSENTRY)
         .args(args)
@@ -74,6 +77,8 @@ fn probe(args: &[&str], scratch: &Path, what: &str) {
         context()
     );
     assert!(!stderr.contains("panicked"), "{}", context());
+    let stdout = fs::read_to_string(&out).unwrap_or_default();
+    (status.code().unwrap_or(-1), stdout)
 }
 
 /// Every listing under `tests/data`, sorted by name.
@@ -191,5 +196,34 @@ fn extreme_option_values_are_handled() {
     }
     for args in &runs {
         probe(args, &dir, "extreme option");
+    }
+}
+
+#[test]
+fn guest_protection_calls_past_the_mapping_fail_fast() {
+    let dir = scratch("cli_hostile_mprotect");
+    // `mprotect` (10) over 128 TiB of unmapped pages, and both calls (10
+    // with PROT_READ, 11 with key 1) on a range that runs past `u64::MAX`.
+    let calls = [
+        (10, 0x1000u64, 0x7fff_ffff_f000u64),
+        (10, 0xffff_ffff_ffff_f000, 0x2000),
+        (11, 0xffff_ffff_ffff_f000, 0x2000),
+        (11, 0x1000, 0x7fff_ffff_f000),
+    ];
+    for (nr, start, len) in calls {
+        let listing = format!(
+            "fn0 <main>:\n    mov    rdi, {start:#x}\n    mov    rsi, {len:#x}\n    \
+             mov    rdx, 0x1\n    syscall {nr}\n    hlt\n"
+        );
+        let path = dir.join(format!("syscall{nr}_{start:x}.ms"));
+        fs::write(&path, listing).expect("write listing");
+        let path = path.to_string_lossy().into_owned();
+        let what = format!("syscall {nr} over {start:#x} + {len:#x}");
+        let (code, stdout) = probe(&["run", &path, "--fuel", "100"], &dir, &what);
+        assert_eq!(code, 0, "{what}: {stdout}");
+        assert!(
+            stdout.contains("exited with 0xffffffffffffffff after 5 instructions"),
+            "{what}: {stdout}"
+        );
     }
 }

@@ -1553,7 +1553,7 @@ impl MachineSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use memsentry_ir::{Cond, FuncId, FunctionBuilder, Inst, Label};
     use memsentry_mmu::SENSITIVE_BASE;
@@ -2301,7 +2301,7 @@ mod tests {
 
     // --- fault injection ----------------------------------------------------
 
-    use crate::events::{EventAction, EventSchedule, SignalPolicy};
+    use crate::events::{Event, EventAction, EventSchedule, SignalPolicy};
     use memsentry_mmu::Pkru;
 
     const SECRET_ADDR: u64 = 0x10_0000;
@@ -2311,7 +2311,7 @@ mod tests {
     /// main opens an MPK window (pkey 2), counts 5 + 8 into rbx, closes
     /// the window and exits with rbx. A hostile handler reads the secret
     /// and copies it to the mailbox before `sigreturn`.
-    fn mpk_signal_machine(scrub: bool, at: u64) -> Machine {
+    pub(crate) fn mpk_signal_machine(scrub: bool, at: u64) -> Machine {
         let mut p = Program::new();
         let mut main = FunctionBuilder::new("main");
         main.push(Inst::MovImm {
@@ -2494,11 +2494,10 @@ mod tests {
         Machine::new(p).run().expect_exit();
     }
 
-    #[test]
-    fn forced_preemption_runs_the_sibling_and_resumes() {
-        // main counts 20 adds into rbx; the injected preemption runs the
-        // worker (which posts 7 to the mailbox) mid-count, then main
-        // finishes unperturbed.
+    /// main counts 20 adds into rbx; a preemption at 5 runs the worker
+    /// (which posts 7 to the mailbox) for up to 16 instructions, and
+    /// `schedule` may add further events.
+    pub(crate) fn preempted_machine(mut schedule: Vec<Event>) -> Machine {
         let mut p = Program::new();
         let mut main = FunctionBuilder::new("main");
         main.push(Inst::MovImm {
@@ -2537,14 +2536,22 @@ mod tests {
         let mut m = Machine::new(p);
         m.space.map_region(VirtAddr(MAILBOX), 4096, PageFlags::rw());
         let tid = m.spawn_thread(FuncId(1), [0; 3]);
-        m.set_event_schedule(EventSchedule::at(
-            5,
-            EventAction::Preempt {
+        schedule.push(Event {
+            at: 5,
+            action: EventAction::Preempt {
                 to: tid,
                 quantum: 16,
                 scrub: false,
             },
-        ));
+        });
+        m.set_event_schedule(EventSchedule::new(schedule));
+        m
+    }
+
+    #[test]
+    fn forced_preemption_runs_the_sibling_and_resumes() {
+        // The worker runs mid-count, then main finishes unperturbed.
+        let mut m = preempted_machine(Vec::new());
         assert_eq!(m.run().expect_exit(), 20);
         let mut posted = [0u8; 8];
         assert!(m.space.peek(VirtAddr(MAILBOX), &mut posted));
@@ -3127,7 +3134,7 @@ mod tests {
     /// A machine with every component `state_digest` covers in use: a
     /// spawned thread, a heap, an EPC range, a one-shot event and three
     /// streams (one exhausted, one compound), a few instructions retired.
-    fn busy_machine(config: MachineConfig) -> Machine {
+    pub(crate) fn busy_machine(config: MachineConfig) -> Machine {
         let mut p = Program::new();
         let mut main = FunctionBuilder::new("main");
         main.push(Inst::MovImm {

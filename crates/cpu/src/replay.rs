@@ -637,6 +637,44 @@ mod tests {
     }
 
     #[test]
+    fn thread_stream_and_injection_digests_are_pinned() {
+        // Golden `state_digest` values for the state the loop machine
+        // above never reaches: a spawned thread, an EPC range, a heap and
+        // three stream cursors (the busy machine, as built and run to its
+        // halt), a live signal frame with the domain scrubbed, and a
+        // preemption in flight with a signal queued on the preempted
+        // thread.
+        use crate::machine::tests::{busy_machine, mpk_signal_machine, preempted_machine};
+        let mut busy = busy_machine(MachineConfig::default());
+        let built = busy.state_digest();
+        busy.run_until(u64::MAX).unwrap();
+        assert!(busy.is_halted());
+        let mut signalled = mpk_signal_machine(true, 6);
+        signalled.run_until(7).unwrap();
+        assert_eq!(signalled.signal_depth(), 1);
+        let mut preempted = preempted_machine(vec![Event {
+            at: 6,
+            action: EventAction::Signal,
+        }]);
+        preempted.run_until(7).unwrap();
+        assert!(preempted.preempt_active());
+        assert_eq!(preempted.queued_signals(), 1);
+        let got = [
+            built,
+            busy.state_digest(),
+            signalled.state_digest(),
+            preempted.state_digest(),
+        ];
+        let want = [
+            0x68ff_b977_95fe_cdcd,
+            0xe343_484c_cacd_52db,
+            0x1077_32c2_213c_647e,
+            0x7c3a_6edb_fc6d_ab2a,
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn the_dense_index_serves_the_gap_of_a_skipped_checkpoint() {
         // A signal at boundary 30 runs a handler across boundary 32, so
         // capture skips that non-quiescent checkpoint: boundaries 32..48

@@ -878,28 +878,29 @@ impl Machine {
     #[inline(always)]
     fn chain(&self) -> Chain {
         Chain {
-            func: self.pc.func,
-            idx: self.pc.index,
+            func: self.arch.pc.func,
+            idx: self.arch.pc.index,
             base: self
+                .arch
                 .stats
                 .instructions
-                .wrapping_sub(u64::from(self.pc.index)),
-            masked: self.last_masked,
-            cycles: self.stats.cycles,
-            icb: self.ic_slot_base(self.pc.func),
+                .wrapping_sub(u64::from(self.arch.pc.index)),
+            masked: self.arch.last_masked,
+            cycles: self.arch.stats.cycles,
+            icb: self.ic_slot_base(self.arch.pc.func),
         }
     }
 
     /// Writes the chain state back to the machine.
     #[inline(always)]
     fn settle(&mut self, c: Chain) {
-        self.pc = CodeAddr {
+        self.arch.pc = CodeAddr {
             func: c.func,
             index: c.idx,
         };
-        self.stats.instructions = c.retired();
-        self.last_masked = c.masked;
-        self.stats.cycles = c.cycles;
+        self.arch.stats.instructions = c.retired();
+        self.arch.last_masked = c.masked;
+        self.arch.stats.cycles = c.cycles;
     }
 
     /// Settles the machine after the op at `c.idx` raised `trap`: the
@@ -936,7 +937,7 @@ impl Machine {
     #[inline(always)]
     fn lea(&mut self, c: &mut Chain, dst: Reg, base: Reg, offset: i64, cost: u8) {
         c.cycles += self.charges.get(cost);
-        self.regs[dst.index()] = self.regs[base.index()].wrapping_add(offset as u64);
+        self.arch.regs[dst.index()] = self.arch.regs[base.index()].wrapping_add(offset as u64);
         c.retire(None);
     }
 
@@ -964,7 +965,7 @@ impl Machine {
         if c.masked == Some(addr) {
             c.cycles += self.cost.sfi_load_dependency;
         }
-        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
+        let va = VirtAddr(self.arch.regs[addr.index()].wrapping_add(offset as u64));
         let (value, info) = match self.read(c, va) {
             Ok(r) => r,
             Err(t) => return Err(self.fault(*c, t)),
@@ -973,8 +974,8 @@ impl Machine {
             c.cycles += info.walk_levels as f64 * self.cost.walk_per_level;
         }
         c.cycles += self.cost.miss_penalty(info.hit_level);
-        self.regs[dst.index()] = value;
-        self.stats.loads += 1;
+        self.arch.regs[dst.index()] = value;
+        self.arch.stats.loads += 1;
         c.retire(None);
         Ok(())
     }
@@ -1011,8 +1012,8 @@ impl Machine {
         cost: u8,
     ) -> Result<(), Trap> {
         c.cycles += self.charges.get(cost);
-        let va = VirtAddr(self.regs[addr.index()].wrapping_add(offset as u64));
-        let info = match self.write(c, va, self.regs[src.index()]) {
+        let va = VirtAddr(self.arch.regs[addr.index()].wrapping_add(offset as u64));
+        let info = match self.write(c, va, self.arch.regs[src.index()]) {
             Ok(info) => info,
             Err(t) => return Err(self.fault(*c, t)),
         };
@@ -1022,7 +1023,7 @@ impl Machine {
         // Stores retire through the store buffer; only a sliver of the
         // miss latency is exposed.
         c.cycles += self.cost.store_buffer_exposure * self.cost.miss_penalty(info.hit_level);
-        self.stats.stores += 1;
+        self.arch.stats.stores += 1;
         c.retire(None);
         Ok(())
     }
@@ -1048,9 +1049,9 @@ impl Machine {
     #[inline(always)]
     fn bndcu(&mut self, c: &mut Chain, bnd: u8, reg: Reg, cost: u8) -> Result<(), Trap> {
         c.cycles += self.charges.get(cost);
-        self.stats.bound_checks += 1;
-        let value = self.regs[reg.index()];
-        let (_, upper) = self.bnd[bnd as usize];
+        self.arch.stats.bound_checks += 1;
+        let value = self.arch.regs[reg.index()];
+        let (_, upper) = self.arch.bnd[bnd as usize];
         if value > upper {
             let trap = Trap::BoundRange {
                 reg,
@@ -1075,7 +1076,7 @@ impl Machine {
         c.idx += 1;
         self.settle(c);
         self.cold_op(op)?;
-        self.last_masked = None;
+        self.arch.last_masked = None;
         Ok(self.chain())
     }
 
@@ -1097,12 +1098,12 @@ impl Machine {
             match *op {
                 COp::MovImm { dst, imm, cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.regs[dst.index()] = imm;
+                    self.arch.regs[dst.index()] = imm;
                     c.retire(None);
                 }
                 COp::Mov { dst, src, cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.regs[dst.index()] = self.regs[src.index()];
+                    self.arch.regs[dst.index()] = self.arch.regs[src.index()];
                     c.retire(None);
                 }
                 COp::Lea {
@@ -1113,7 +1114,7 @@ impl Machine {
                 } => self.lea(c, dst, base, offset, cost),
                 COp::AluReg { op, dst, src, cost } => {
                     c.cycles += self.charges.get(cost);
-                    let b = self.regs[src.index()];
+                    let b = self.arch.regs[src.index()];
                     self.alu(op, dst, b);
                     c.retire(masked(op, dst));
                 }
@@ -1141,15 +1142,15 @@ impl Machine {
                     cost,
                 } => {
                     c.cycles += self.charges.get(cost);
-                    self.bnd[bnd as usize] = (lower, upper);
+                    self.arch.bnd[bnd as usize] = (lower, upper);
                     c.retire(None);
                 }
                 COp::BndCu { bnd, reg, cost } => self.bndcu(c, bnd, reg, cost)?,
                 COp::BndCl { bnd, reg, cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.stats.bound_checks += 1;
-                    let value = self.regs[reg.index()];
-                    let (lower, _) = self.bnd[bnd as usize];
+                    self.arch.stats.bound_checks += 1;
+                    let value = self.arch.regs[reg.index()];
+                    let (lower, _) = self.arch.bnd[bnd as usize];
                     if value < lower {
                         let trap = Trap::BoundRange {
                             reg,
@@ -1162,13 +1163,13 @@ impl Machine {
                 }
                 COp::RdPkru { dst, cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.regs[dst.index()] = self.space.pkru.0 as u64;
+                    self.arch.regs[dst.index()] = self.space.pkru.0 as u64;
                     c.retire(None);
                 }
                 COp::WrPkru { src, cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.space.pkru = Pkru(self.regs[src.index()] as u32);
-                    self.stats.wrpkrus += 1;
+                    self.space.pkru = Pkru(self.arch.regs[src.index()] as u32);
+                    self.arch.stats.wrpkrus += 1;
                     c.retire(None);
                 }
 
@@ -1186,7 +1187,7 @@ impl Machine {
                     cost,
                 } => {
                     c.cycles += self.charges.get(cost);
-                    let taken = cond.eval(self.regs[a.index()], self.regs[b.index()]);
+                    let taken = cond.eval(self.arch.regs[a.index()], self.arch.regs[b.index()]);
                     c.jump(if taken { target } else { c.idx + 1 });
                     return Ok(());
                 }
@@ -1199,13 +1200,13 @@ impl Machine {
                     if let Err(t) = self.push_u64(ret) {
                         return Err(self.fault(*c, t));
                     }
-                    self.stats.calls += 1;
+                    self.arch.stats.calls += 1;
                     self.enter(c, callee, 0);
                     return Ok(());
                 }
                 COp::CallIndirect { target, ret, cost } => {
                     c.cycles += self.charges.get(cost);
-                    let value = self.regs[target.index()];
+                    let value = self.arch.regs[target.index()];
                     let dest = match CodeAddr::decode(value) {
                         Some(d) if (d.func.0 as usize) < self.program.functions.len() => d,
                         _ => return Err(self.fault(*c, Trap::BadCodePointer { value })),
@@ -1213,7 +1214,7 @@ impl Machine {
                     if let Err(t) = self.push_u64(ret) {
                         return Err(self.fault(*c, t));
                     }
-                    self.stats.indirect_calls += 1;
+                    self.arch.stats.indirect_calls += 1;
                     self.enter(c, dest.func, dest.index);
                     return Ok(());
                 }
@@ -1232,13 +1233,13 @@ impl Machine {
                         }
                         _ => return Err(self.fault(*c, Trap::BadCodePointer { value })),
                     };
-                    self.stats.rets += 1;
+                    self.arch.stats.rets += 1;
                     self.enter(c, dest.func, dest.index);
                     return Ok(());
                 }
                 COp::Halt { cost } => {
                     c.cycles += self.charges.get(cost);
-                    self.halted = Some(self.regs[Reg::Rax.index()]);
+                    self.arch.halted = Some(self.arch.regs[Reg::Rax.index()]);
                     c.retire(None);
                     return Ok(());
                 }
@@ -1480,7 +1481,7 @@ impl Machine {
                     else {
                         self.settle(c);
                         return Err(Trap::BadCodePointer {
-                            value: self.pc.encode(),
+                            value: self.arch.pc.encode(),
                         });
                     };
                     let mut end = f.block_ends[start] as usize;
@@ -1495,7 +1496,7 @@ impl Machine {
             // body the next lookup raises `BadCodePointer`) or ended at an
             // op that moved the pc or halted.
             self.exec_ops(&mut c, ops)?;
-            if self.halted.is_some() {
+            if self.arch.halted.is_some() {
                 self.settle(c);
                 return Ok(());
             }
@@ -1509,11 +1510,11 @@ impl Machine {
     pub(crate) fn exec_one(&mut self) -> Result<(), Trap> {
         let Some(&op) = self
             .code
-            .get(self.pc.func.0 as usize)
-            .and_then(|f| f.ops.get(self.pc.index as usize))
+            .get(self.arch.pc.func.0 as usize)
+            .and_then(|f| f.ops.get(self.arch.pc.index as usize))
         else {
             return Err(Trap::BadCodePointer {
-                value: self.pc.encode(),
+                value: self.arch.pc.encode(),
             });
         };
         // The decoded stream holds single forms only; saying so lets the

@@ -40,6 +40,7 @@
 //! the degenerate stream and keeps its exact firing order.
 
 use memsentry_ir::FuncId;
+use memsentry_mmu::diff::Walk;
 use memsentry_mmu::{Pkru, Prot};
 
 /// What an injected event does when it fires.
@@ -396,29 +397,23 @@ impl EventSchedule {
         }
     }
 
-    /// Each stream's `(firings, next due boundary)` in installation order:
-    /// the cursor state [`Self::digest_streams_into`] feeds, for
-    /// [`crate::Machine::diff`].
-    pub(crate) fn cursors(&self) -> impl ExactSizeIterator<Item = (u64, Option<u64>)> + '_ {
-        self.streams.iter().map(|s| (s.fired, s.next))
-    }
-
-    /// Folds the stream cursors into `d` — the stream state is mutable
-    /// machine state, so it is part of [`crate::Machine::state_digest`].
-    /// A schedule with no streams contributes exactly what an absent
-    /// schedule does, keeping digests comparable across clean runs.
-    pub(crate) fn digest_streams_into(&self, d: &mut memsentry_mmu::Digest) {
-        d.write_u64(self.streams.len() as u64);
-        for s in &self.streams {
-            d.write_u64(s.fired);
-            match s.next {
-                Some(n) => {
-                    d.write_u8(1);
-                    d.write_u64(n);
-                }
-                None => d.write_u8(0),
-            }
+    /// The stream cursors' part of the machine's state walk — a storm
+    /// that has fired k times differs from one that has fired k+1: the
+    /// stream count, then each stream's firings and next due boundary.
+    /// An absent schedule walks like one with no streams, keeping clean
+    /// runs comparable.
+    pub(crate) fn walk_streams<W: Walk>(
+        a: Option<&Self>,
+        b: Option<&Self>,
+        w: &mut W,
+    ) -> Result<(), W::Stop> {
+        let [a, b] = [a, b].map(|s| s.map_or(&[][..], |s| &s.streams[..]));
+        w.word("streams", a.len() as u64, b.len() as u64)?;
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            w.word(format_args!("stream {i} fired"), x.fired, y.fired)?;
+            w.opt(format_args!("stream {i} cursor"), x.next, y.next)?;
         }
+        Ok(())
     }
 }
 

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use memsentry_aes::{Block, RegionCipher};
 use memsentry_ir::{AluOp, CodeAddr, FuncId, Program, Reg};
-use memsentry_mmu::diff::{same, same_opt};
+use memsentry_mmu::diff::{same, Compare, Walk};
 use memsentry_mmu::{AddressSpace, Divergence, PageFlags, Prot, TransCacheEntry, VirtAddr};
 
 use crate::compile::{compile_program, COp, CompiledFunction};
@@ -122,9 +122,7 @@ impl RunOutcome {
 pub struct Machine {
     /// The address space (public: harnesses map regions directly).
     pub space: AddressSpace,
-    pub(crate) regs: [u64; 16],
-    pub(crate) bnd: [(u64, u64); 4],
-    pub(crate) pc: CodeAddr,
+    pub(crate) arch: ArchState,
     pub(crate) program: Program,
     /// Decoded bodies (single-form op streams plus basic-block bounds),
     /// index-1:1 with each function's `body`.
@@ -147,32 +145,45 @@ pub struct Machine {
     /// instruction counts; empty when `ic` is).
     ic_base: Box<[u32]>,
     pub(crate) cost: CostModel,
-    pub(crate) stats: ExecStats,
     syscall: Option<Box<dyn SyscallHandler>>,
     hypercall: Option<Box<dyn HypercallHandler>>,
-    in_vm: bool,
     /// Shared copy-on-write with snapshots: an `Alloc`/`Free` copies the
     /// policy (through [`HeapPolicy::box_clone`]) only while a snapshot
     /// still shares it.
     heap: Option<Rc<dyn HeapPolicy>>,
     cipher: Option<RegionCipher>,
-    keys_in_xmm: bool,
-    pub(crate) last_masked: Option<Reg>,
-    pub(crate) halted: Option<u64>,
     fuel: u64,
-    epc: Option<(u64, u64)>,
-    in_enclave: bool,
     pub(crate) tracer: Option<Box<dyn AccessTracer>>,
-    syscall_passthrough: bool,
-    pub(crate) threads: Vec<ThreadCtx>,
-    pub(crate) active_thread: usize,
     events: Option<EventSchedule>,
     signal_policy: Option<SignalPolicy>,
     signal_depth_limit: usize,
     signal_frames: Vec<SignalFrame>,
     domain_closure: Option<DomainClosure>,
     preempt: Option<PreemptState>,
-    forced_alloc_failures: u64,
+}
+
+/// The machine's scalar architectural state: everything a
+/// [`MachineSnapshot`] captures besides the address space, the heap
+/// policy and the cipher. Snapshot and restore copy it whole, and the
+/// field list behind [`Machine::state_digest`] and [`Machine::diff`]
+/// destructures it, so a field added here but left out of that walk
+/// fails to compile.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ArchState {
+    pub(crate) regs: [u64; 16],
+    pub(crate) bnd: [(u64, u64); 4],
+    pub(crate) pc: CodeAddr,
+    pub(crate) stats: ExecStats,
+    pub(crate) halted: Option<u64>,
+    pub(crate) in_vm: bool,
+    pub(crate) keys_in_xmm: bool,
+    pub(crate) last_masked: Option<Reg>,
+    pub(crate) epc: Option<(u64, u64)>,
+    pub(crate) in_enclave: bool,
+    pub(crate) syscall_passthrough: bool,
+    pub(crate) forced_alloc_failures: u64,
+    pub(crate) threads: Vec<ThreadCtx>,
+    pub(crate) active_thread: usize,
 }
 
 /// The installed heap policy for a write, copied first (through
@@ -239,9 +250,22 @@ impl Machine {
         regs[Reg::Rsp.index()] = STACK_TOP - 64;
         Self {
             space,
-            regs,
-            bnd: [(0, u64::MAX); 4],
-            pc: CodeAddr::entry(program.entry),
+            arch: ArchState {
+                regs,
+                bnd: [(0, u64::MAX); 4],
+                pc: CodeAddr::entry(program.entry),
+                stats: ExecStats::default(),
+                halted: None,
+                in_vm: false,
+                keys_in_xmm: false,
+                last_masked: None,
+                epc: None,
+                in_enclave: false,
+                syscall_passthrough: false,
+                forced_alloc_failures: 0,
+                threads: Vec::new(),
+                active_thread: 0,
+            },
             program,
             code,
             charges,
@@ -249,29 +273,18 @@ impl Machine {
             ic,
             ic_base,
             cost: config.cost,
-            stats: ExecStats::default(),
             syscall: Some(Box::new(DefaultKernel::new())),
             hypercall: None,
-            in_vm: false,
             heap: Some(Rc::new(BumpAllocator::new())),
             cipher: None,
-            keys_in_xmm: false,
-            last_masked: None,
-            halted: None,
             fuel: config.fuel,
-            epc: None,
-            in_enclave: false,
             tracer: None,
-            syscall_passthrough: false,
-            threads: Vec::new(),
-            active_thread: 0,
             events: None,
             signal_policy: None,
             signal_depth_limit: DEFAULT_SIGNAL_DEPTH_LIMIT,
             signal_frames: Vec::new(),
             domain_closure: None,
             preempt: None,
-            forced_alloc_failures: 0,
         }
     }
 
@@ -285,12 +298,12 @@ impl Machine {
 
     /// Whether the active thread has halted.
     pub fn is_halted(&self) -> bool {
-        self.halted.is_some()
+        self.arch.halted.is_some()
     }
 
     /// The active thread's exit code, if halted.
     pub fn exit_code(&self) -> Option<u64> {
-        self.halted
+        self.arch.halted
     }
 
     /// Installs a dynamic access tracer (and returns any previous one).
@@ -306,17 +319,17 @@ impl Machine {
     /// Declares `[base, base+len)` as EPC (enclave) memory: data accesses
     /// to it fault unless the machine is inside the enclave.
     pub fn set_epc_range(&mut self, base: u64, len: u64) {
-        self.epc = Some((base, base + len));
+        self.arch.epc = Some((base, base + len));
     }
 
     /// Whether execution is currently inside the enclave.
     pub fn in_enclave(&self) -> bool {
-        self.in_enclave
+        self.arch.in_enclave
     }
 
     pub(crate) fn check_epc(&self, va: u64) -> Result<(), Trap> {
-        if let Some((lo, hi)) = self.epc {
-            if va >= lo && va < hi && !self.in_enclave {
+        if let Some((lo, hi)) = self.arch.epc {
+            if va >= lo && va < hi && !self.arch.in_enclave {
                 return Err(Trap::EpcAccessOutsideEnclave { addr: va });
             }
         }
@@ -339,12 +352,12 @@ impl Machine {
     /// converted to hypercalls (charged at `vmcall` cost) and `vmfunc`
     /// becomes available.
     pub fn set_in_vm(&mut self, in_vm: bool) {
-        self.in_vm = in_vm;
+        self.arch.in_vm = in_vm;
     }
 
     /// Whether the machine runs inside the VM.
     pub fn in_vm(&self) -> bool {
-        self.in_vm
+        self.arch.in_vm
     }
 
     /// Replaces the heap allocator policy.
@@ -365,7 +378,7 @@ impl Machine {
     /// still be staged into `xmm` by `YmmToXmm` before `AesRegion` runs.
     pub fn install_aes_key(&mut self, key: &Block) {
         self.cipher = Some(RegionCipher::new(key));
-        self.keys_in_xmm = false;
+        self.arch.keys_in_xmm = false;
     }
 
     /// Installs the AES key *pinned* in `xmm` (the CCFI-style ablation):
@@ -373,7 +386,7 @@ impl Machine {
     /// modelled cost of reserving the registers system-wide.
     pub fn pin_aes_keys(&mut self, key: &Block) {
         self.cipher = Some(RegionCipher::new(key));
-        self.keys_in_xmm = true;
+        self.arch.keys_in_xmm = true;
     }
 
     /// When set (and in the VM), system calls are serviced natively by the
@@ -382,38 +395,38 @@ impl Machine {
     /// Dune per-process sandbox (paper §5.1: "not fundamental to our
     /// design; one could also implement the EPT management in KVM").
     pub fn set_syscall_passthrough(&mut self, passthrough: bool) {
-        self.syscall_passthrough = passthrough;
+        self.arch.syscall_passthrough = passthrough;
     }
 
     /// Reads a general-purpose register.
     pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
+        self.arch.regs[r.index()]
     }
 
     /// Writes a general-purpose register.
     pub fn set_reg(&mut self, r: Reg, v: u64) {
-        self.regs[r.index()] = v;
+        self.arch.regs[r.index()] = v;
     }
 
     /// Reads a bound register.
     pub fn bound(&self, i: usize) -> (u64, u64) {
-        self.bnd[i]
+        self.arch.bnd[i]
     }
 
     /// The current program counter (next instruction to execute); the
     /// `msentry replay` state printer reports it per boundary.
     pub fn pc(&self) -> CodeAddr {
-        self.pc
+        self.arch.pc
     }
 
     /// Execution statistics so far.
     pub fn stats(&self) -> &ExecStats {
-        &self.stats
+        &self.arch.stats
     }
 
     /// Simulated cycles so far.
     pub fn cycles(&self) -> f64 {
-        self.stats.cycles
+        self.arch.stats.cycles
     }
 
     /// The loaded program.
@@ -431,11 +444,11 @@ impl Machine {
     /// target function must end in `Halt`, not `Ret` — there is no return
     /// address on the stack for it.
     pub fn call_function(&mut self, func: memsentry_ir::FuncId, args: [u64; 3]) -> RunOutcome {
-        self.halted = None;
-        self.regs[Reg::Rdi.index()] = args[0];
-        self.regs[Reg::Rsi.index()] = args[1];
-        self.regs[Reg::Rdx.index()] = args[2];
-        self.pc = CodeAddr::entry(func);
+        self.arch.halted = None;
+        self.arch.regs[Reg::Rdi.index()] = args[0];
+        self.arch.regs[Reg::Rsi.index()] = args[1];
+        self.arch.regs[Reg::Rdx.index()] = args[2];
+        self.arch.pc = CodeAddr::entry(func);
         self.run()
     }
 
@@ -446,7 +459,7 @@ impl Machine {
     /// through the same single execution loop.
     pub fn run(&mut self) -> RunOutcome {
         match self.run_until(u64::MAX) {
-            Ok(()) => RunOutcome::Exited(self.halted.unwrap_or(0)),
+            Ok(()) => RunOutcome::Exited(self.arch.halted.unwrap_or(0)),
             Err(t) => RunOutcome::Trapped(t),
         }
     }
@@ -476,8 +489,8 @@ impl Machine {
     /// [`Trap::OutOfFuel`] once `stats.instructions` reaches the fuel
     /// budget with the machine still running.
     pub fn run_until(&mut self, stop: u64) -> Result<(), Trap> {
-        while self.halted.is_none() && self.stats.instructions < stop {
-            if self.stats.instructions >= self.fuel {
+        while self.arch.halted.is_none() && self.arch.stats.instructions < stop {
+            if self.arch.stats.instructions >= self.fuel {
                 return Err(Trap::OutOfFuel);
             }
             if self.events.is_some() {
@@ -508,7 +521,7 @@ impl Machine {
         // A one-instruction horizon (a recording's boundary-by-boundary
         // capture) retires through `step`'s single-op entry, which skips
         // the chain's set-up.
-        if horizon - self.stats.instructions == 1 {
+        if horizon - self.arch.stats.instructions == 1 {
             return self.exec_one();
         }
         // The decoded and compiled code are immutable during execution but
@@ -524,39 +537,39 @@ impl Machine {
     }
 
     pub(crate) fn push_u64(&mut self, value: u64) -> Result<(), Trap> {
-        let rsp = self.regs[Reg::Rsp.index()]
+        let rsp = self.arch.regs[Reg::Rsp.index()]
             .checked_sub(8)
             .ok_or(Trap::StackUnderflow {
-                rsp: self.regs[Reg::Rsp.index()],
+                rsp: self.arch.regs[Reg::Rsp.index()],
             })?;
-        self.regs[Reg::Rsp.index()] = rsp;
+        self.arch.regs[Reg::Rsp.index()] = rsp;
         self.space.write_u64(VirtAddr(rsp), value)?;
         Ok(())
     }
 
     pub(crate) fn pop_u64(&mut self) -> Result<u64, Trap> {
-        let rsp = self.regs[Reg::Rsp.index()];
+        let rsp = self.arch.regs[Reg::Rsp.index()];
         let v = self.space.read_u64(VirtAddr(rsp))?;
-        self.regs[Reg::Rsp.index()] = rsp + 8;
+        self.arch.regs[Reg::Rsp.index()] = rsp + 8;
         Ok(v)
     }
 
     fn dispatch_syscall(&mut self, nr: u64) -> Result<(), Trap> {
         let args = [
-            self.regs[Reg::Rdi.index()],
-            self.regs[Reg::Rsi.index()],
-            self.regs[Reg::Rdx.index()],
+            self.arch.regs[Reg::Rdi.index()],
+            self.arch.regs[Reg::Rsi.index()],
+            self.arch.regs[Reg::Rdx.index()],
         ];
-        let outcome = if self.in_vm && !self.syscall_passthrough {
+        let outcome = if self.arch.in_vm && !self.arch.syscall_passthrough {
             // Inside the VM the syscall becomes a hypercall: charge the
             // difference between vmcall and the already-charged syscall.
-            self.stats.cycles += self.cost.vmcall - self.cost.syscall;
-            self.stats.vmcalls += 1;
+            self.arch.stats.cycles += self.cost.vmcall - self.cost.syscall;
+            self.arch.stats.vmcalls += 1;
             let mut handler = self.hypercall.take().ok_or(Trap::VmError {
                 reason: "no hypervisor",
             })?;
             let r = handler.hypercall(&mut self.space, nr, args);
-            self.stats.cycles += handler.cost_hint(nr);
+            self.arch.stats.cycles += handler.cost_hint(nr);
             self.hypercall = Some(handler);
             r?
         } else {
@@ -564,13 +577,13 @@ impl Machine {
                 resource: "syscall handler",
             })?;
             let r = handler.syscall(&mut self.space, nr, args);
-            self.stats.cycles += handler.cost_hint(nr);
+            self.arch.stats.cycles += handler.cost_hint(nr);
             self.syscall = Some(handler);
             r?
         };
         match outcome {
-            SyscallOutcome::Ret(v) => self.regs[Reg::Rax.index()] = v,
-            SyscallOutcome::Exit(code) => self.halted = Some(code),
+            SyscallOutcome::Ret(v) => self.arch.regs[Reg::Rax.index()] = v,
+            SyscallOutcome::Exit(code) => self.arch.halted = Some(code),
         }
         Ok(())
     }
@@ -590,10 +603,10 @@ impl Machine {
     ///
     /// Returns the [`Trap`] the instruction (or a delivered event) raised.
     pub fn step(&mut self) -> Result<(), Trap> {
-        if self.halted.is_some() {
+        if self.arch.halted.is_some() {
             return Ok(());
         }
-        if self.stats.instructions >= self.fuel {
+        if self.arch.stats.instructions >= self.fuel {
             return Err(Trap::OutOfFuel);
         }
         if self.events.is_some() {
@@ -607,7 +620,7 @@ impl Machine {
     /// op that will *actually* execute (a delivered signal redirects the
     /// pc to the handler before the fetch).
     pub(crate) fn profile_poll(&mut self) -> Result<(), Trap> {
-        if self.stats.instructions >= self.fuel {
+        if self.arch.stats.instructions >= self.fuel {
             return Err(Trap::OutOfFuel);
         }
         if self.events.is_some() {
@@ -625,8 +638,8 @@ impl Machine {
     /// fetch faults.
     pub(crate) fn current_op_kind(&self) -> Option<crate::opstats::OpKind> {
         self.code
-            .get(self.pc.func.0 as usize)
-            .and_then(|f| f.ops.get(self.pc.index as usize))
+            .get(self.arch.pc.func.0 as usize)
+            .and_then(|f| f.ops.get(self.arch.pc.index as usize))
             .map(crate::opstats::OpKind::of)
     }
 
@@ -649,7 +662,7 @@ impl Machine {
     pub(crate) fn cold_op(&mut self, op: &COp) -> Result<(), Trap> {
         match *op {
             COp::Syscall { nr, .. } => {
-                self.stats.syscalls += 1;
+                self.arch.stats.syscalls += 1;
                 if nr == crate::kernel::nr::SIGRETURN {
                     // Architectural, not a kernel service: pops the signal
                     // frame even inside the VM (where ordinary syscalls
@@ -660,16 +673,16 @@ impl Machine {
                 }
             }
             COp::VmCall { nr, .. } => {
-                if !self.in_vm {
+                if !self.arch.in_vm {
                     return Err(Trap::VmError {
                         reason: "vmcall outside VM",
                     });
                 }
-                self.stats.vmcalls += 1;
+                self.arch.stats.vmcalls += 1;
                 let args = [
-                    self.regs[Reg::Rdi.index()],
-                    self.regs[Reg::Rsi.index()],
-                    self.regs[Reg::Rdx.index()],
+                    self.arch.regs[Reg::Rdi.index()],
+                    self.arch.regs[Reg::Rsi.index()],
+                    self.arch.regs[Reg::Rdx.index()],
                 ];
                 let mut handler = self.hypercall.take().ok_or(Trap::VmError {
                     reason: "no hypervisor",
@@ -677,30 +690,30 @@ impl Machine {
                 let r = handler.hypercall(&mut self.space, nr, args);
                 self.hypercall = Some(handler);
                 match r? {
-                    SyscallOutcome::Ret(v) => self.regs[Reg::Rax.index()] = v,
-                    SyscallOutcome::Exit(code) => self.halted = Some(code),
+                    SyscallOutcome::Ret(v) => self.arch.regs[Reg::Rax.index()] = v,
+                    SyscallOutcome::Exit(code) => self.arch.halted = Some(code),
                 }
             }
             COp::Alloc { size, .. } => {
-                let size = self.regs[size.index()];
+                let size = self.arch.regs[size.index()];
                 // Without a heap the alloc traps below and consumes no
                 // forced failure.
-                let ptr = if self.heap.is_some() && self.forced_alloc_failures > 0 {
-                    self.forced_alloc_failures -= 1;
+                let ptr = if self.heap.is_some() && self.arch.forced_alloc_failures > 0 {
+                    self.arch.forced_alloc_failures -= 1;
                     None
                 } else {
                     heap_for_write(&mut self.heap)?.alloc(&mut self.space, size)
                 };
-                self.stats.allocator_calls += 1;
-                self.regs[Reg::Rax.index()] = ptr.ok_or(Trap::OutOfMemory)?;
+                self.arch.stats.allocator_calls += 1;
+                self.arch.regs[Reg::Rax.index()] = ptr.ok_or(Trap::OutOfMemory)?;
             }
             COp::Free { ptr, .. } => {
-                let p = self.regs[ptr.index()];
+                let p = self.arch.regs[ptr.index()];
                 heap_for_write(&mut self.heap)?.free(&mut self.space, p);
-                self.stats.allocator_calls += 1;
+                self.arch.stats.allocator_calls += 1;
             }
             COp::VmFunc { eptp, .. } => {
-                if !self.in_vm {
+                if !self.arch.in_vm {
                     return Err(Trap::VmError {
                         reason: "vmfunc outside VM",
                     });
@@ -713,9 +726,9 @@ impl Machine {
                         reason: "EPTP index out of range",
                     });
                 }
-                self.stats.vmfuncs += 1;
+                self.arch.stats.vmfuncs += 1;
             }
-            COp::YmmToXmm { .. } => self.keys_in_xmm = true,
+            COp::YmmToXmm { .. } => self.arch.keys_in_xmm = true,
             // Key material is derived in registers; semantically the
             // cipher is already installed, these charge cycles.
             COp::AesSetup { .. } => {}
@@ -726,11 +739,11 @@ impl Machine {
                 ..
             } => {
                 let cipher = self.cipher.as_ref().ok_or(Trap::MissingAesKeys)?;
-                if !self.keys_in_xmm {
+                if !self.arch.keys_in_xmm {
                     return Err(Trap::MissingAesKeys);
                 }
                 let len = chunks as usize * 16;
-                let va = VirtAddr(self.regs[base.index()]);
+                let va = VirtAddr(self.arch.regs[base.index()]);
                 let mut buf = vec![0u8; len];
                 self.space.read(va, &mut buf)?;
                 if decrypt {
@@ -739,21 +752,21 @@ impl Machine {
                     cipher.encrypt_region(&mut buf);
                 }
                 self.space.write(va, &buf)?;
-                self.stats.aes_chunks += chunks as u64;
+                self.arch.stats.aes_chunks += chunks as u64;
             }
             COp::SgxEnter { .. } => {
-                self.in_enclave = true;
-                self.stats.sgx_transitions += 1;
+                self.arch.in_enclave = true;
+                self.arch.stats.sgx_transitions += 1;
             }
-            COp::SgxExit { .. } => self.in_enclave = false,
+            COp::SgxExit { .. } => self.arch.in_enclave = false,
             _ => unreachable!("{op:?} runs on the engine's hot arms"),
         }
         Ok(())
     }
 
     pub(crate) fn alu(&mut self, op: AluOp, dst: Reg, b: u64) {
-        let a = self.regs[dst.index()];
-        self.regs[dst.index()] = match op {
+        let a = self.arch.regs[dst.index()];
+        self.arch.regs[dst.index()] = match op {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
             AluOp::And => a & b,
@@ -826,7 +839,7 @@ impl Machine {
     /// Signals queued on per-thread pending queues (they arrive while a
     /// forced preemption is in flight and deliver at switch-back).
     pub fn queued_signals(&self) -> u64 {
-        self.threads.iter().map(|t| t.pending_signals).sum()
+        self.arch.threads.iter().map(|t| t.pending_signals).sum()
     }
 
     /// Fires every event due at the current instruction boundary. Each
@@ -835,7 +848,7 @@ impl Machine {
     /// events are counted in [`ExecStats::dropped_events`] instead.
     fn poll_events(&mut self) -> Result<(), Trap> {
         loop {
-            let now = self.stats.instructions;
+            let now = self.arch.stats.instructions;
             let action = match self.events.as_mut().and_then(|s| s.pop_due(now)) {
                 Some(a) => a,
                 None => return Ok(()),
@@ -848,7 +861,7 @@ impl Machine {
                         // it on that thread's pending queue; it delivers
                         // at switch-back, not on the hostile sibling.
                         let resume = p.resume;
-                        self.threads[resume].pending_signals += 1;
+                        self.arch.threads[resume].pending_signals += 1;
                         Delivery::Deferred
                     } else if self.deliver_signal()? {
                         Delivery::Delivered
@@ -872,7 +885,7 @@ impl Machine {
                     }
                 }
                 EventAction::FailAllocs { count } => {
-                    self.forced_alloc_failures += count;
+                    self.arch.forced_alloc_failures += count;
                     Delivery::Delivered
                 }
             };
@@ -882,7 +895,7 @@ impl Machine {
                         s.note_delivery(kind, now);
                     }
                 }
-                Delivery::Dropped => self.stats.dropped_events += 1,
+                Delivery::Dropped => self.arch.stats.dropped_events += 1,
                 Delivery::Deferred => {}
             }
         }
@@ -914,16 +927,16 @@ impl Machine {
             None
         };
         self.signal_frames.push(SignalFrame {
-            regs: self.regs,
-            bnd: self.bnd,
-            pc: self.pc,
-            last_masked: self.last_masked,
+            regs: self.arch.regs,
+            bnd: self.arch.bnd,
+            pc: self.arch.pc,
+            last_masked: self.arch.last_masked,
             saved,
         });
-        self.pc = CodeAddr::entry(policy.handler);
-        self.stats.signals += 1;
+        self.arch.pc = CodeAddr::entry(policy.handler);
+        self.arch.stats.signals += 1;
         // Delivery enters and leaves the kernel once, like a syscall.
-        self.stats.cycles += self.cost.syscall;
+        self.arch.stats.cycles += self.cost.syscall;
         Ok(true)
     }
 
@@ -937,10 +950,10 @@ impl Machine {
         if let Some(saved) = frame.saved {
             self.reopen_domain(&saved);
         }
-        self.regs = frame.regs;
-        self.bnd = frame.bnd;
-        self.pc = frame.pc;
-        self.last_masked = frame.last_masked;
+        self.arch.regs = frame.regs;
+        self.arch.bnd = frame.bnd;
+        self.arch.pc = frame.pc;
+        self.arch.last_masked = frame.last_masked;
         Ok(())
     }
 
@@ -950,10 +963,11 @@ impl Machine {
     /// `false` so the poll can count them.
     fn deliver_preempt(&mut self, to: usize, quantum: u64, scrub: bool) -> bool {
         self.ensure_main_slot();
-        if to >= self.threads.len() || to == self.active_thread || self.preempt.is_some() {
+        if to >= self.arch.threads.len() || to == self.arch.active_thread || self.preempt.is_some()
+        {
             return false;
         }
-        if self.threads[to].halted.is_some() {
+        if self.arch.threads[to].halted.is_some() {
             return false;
         }
         let closure = self.domain_closure;
@@ -962,15 +976,15 @@ impl Machine {
         } else {
             None
         };
-        let resume = self.active_thread;
+        let resume = self.arch.active_thread;
         self.switch_thread(to);
         self.preempt = Some(PreemptState {
             resume,
             remaining: quantum.max(1),
             saved,
         });
-        self.stats.preemptions += 1;
-        self.stats.cycles += self.cost.syscall;
+        self.arch.stats.preemptions += 1;
+        self.arch.stats.cycles += self.cost.syscall;
         true
     }
 
@@ -981,7 +995,7 @@ impl Machine {
     /// the tick is fallible.
     fn tick_preempt(&mut self) -> Result<(), Trap> {
         if let Some(p) = &mut self.preempt {
-            if self.halted.is_none() {
+            if self.arch.halted.is_none() {
                 p.remaining = p.remaining.saturating_sub(1);
                 if p.remaining > 0 {
                     return Ok(());
@@ -1002,16 +1016,21 @@ impl Machine {
     /// while it was preempted). Deliveries stack frames in queue order;
     /// each successful one arms compound triggers like a direct delivery.
     fn drain_pending_signals(&mut self) -> Result<(), Trap> {
-        let tid = self.active_thread;
-        while self.threads.get(tid).is_some_and(|t| t.pending_signals > 0) {
-            self.threads[tid].pending_signals -= 1;
+        let tid = self.arch.active_thread;
+        while self
+            .arch
+            .threads
+            .get(tid)
+            .is_some_and(|t| t.pending_signals > 0)
+        {
+            self.arch.threads[tid].pending_signals -= 1;
             if self.deliver_signal()? {
-                let now = self.stats.instructions;
+                let now = self.arch.stats.instructions;
                 if let Some(s) = self.events.as_mut() {
                     s.note_delivery(TriggerKind::Signal, now);
                 }
             } else {
-                self.stats.dropped_events += 1;
+                self.arch.stats.dropped_events += 1;
             }
         }
         Ok(())
@@ -1023,9 +1042,9 @@ impl Machine {
             pkru: self.space.pkru,
             ept: None,
             view: None,
-            in_enclave: self.in_enclave,
+            in_enclave: self.arch.in_enclave,
             crypt: None,
-            keys_in_xmm: self.keys_in_xmm,
+            keys_in_xmm: self.arch.keys_in_xmm,
             mprotect: None,
         };
         if let Some(pkru) = c.pkru {
@@ -1042,7 +1061,7 @@ impl Machine {
             self.space.switch_view(closed);
         }
         if c.enclave {
-            self.in_enclave = false;
+            self.arch.in_enclave = false;
         }
         if let Some((base, chunks)) = c.crypt {
             // Sealing is unconditional: encrypt-then-decrypt is the
@@ -1052,7 +1071,7 @@ impl Machine {
             if self.crypt_region_raw(base, chunks, false) {
                 saved.crypt = Some((base, chunks));
             }
-            self.keys_in_xmm = false;
+            self.arch.keys_in_xmm = false;
         }
         if let Some((base, len)) = c.mprotect {
             if let Some(flags) = self.space.page_flags(VirtAddr(base)) {
@@ -1081,12 +1100,10 @@ impl Machine {
         if let Some(view) = saved.view {
             self.space.switch_view(view);
         }
-        self.in_enclave = saved.in_enclave;
+        self.arch.in_enclave = saved.in_enclave;
+        self.arch.keys_in_xmm = saved.keys_in_xmm;
         if let Some((base, chunks)) = saved.crypt {
-            self.keys_in_xmm = saved.keys_in_xmm;
             self.crypt_region_raw(base, chunks, true);
-        } else {
-            self.keys_in_xmm = saved.keys_in_xmm;
         }
         if let Some((base, len, prot)) = saved.mprotect {
             self.space.mprotect(VirtAddr(base), len, prot);
@@ -1136,20 +1153,7 @@ impl Machine {
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             space: self.space.clone(),
-            regs: self.regs,
-            bnd: self.bnd,
-            pc: self.pc,
-            stats: self.stats,
-            halted: self.halted,
-            in_vm: self.in_vm,
-            keys_in_xmm: self.keys_in_xmm,
-            last_masked: self.last_masked,
-            epc: self.epc,
-            in_enclave: self.in_enclave,
-            syscall_passthrough: self.syscall_passthrough,
-            forced_alloc_failures: self.forced_alloc_failures,
-            threads: self.threads.clone(),
-            active_thread: self.active_thread,
+            arch: self.arch.clone(),
             heap: self.heap.clone(),
             cipher: self.cipher.clone(),
         }
@@ -1175,20 +1179,12 @@ impl Machine {
     /// inline-cache slot stamped before the restore.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.space.restore_from(&snap.space);
-        self.regs = snap.regs;
-        self.bnd = snap.bnd;
-        self.pc = snap.pc;
-        self.stats = snap.stats;
-        self.halted = snap.halted;
-        self.in_vm = snap.in_vm;
-        self.keys_in_xmm = snap.keys_in_xmm;
-        self.last_masked = snap.last_masked;
-        self.epc = snap.epc;
-        self.in_enclave = snap.in_enclave;
-        self.syscall_passthrough = snap.syscall_passthrough;
-        self.forced_alloc_failures = snap.forced_alloc_failures;
-        self.threads.clone_from(&snap.threads);
-        self.active_thread = snap.active_thread;
+        let mut threads = std::mem::take(&mut self.arch.threads);
+        threads.clone_from(&snap.arch.threads);
+        self.arch = ArchState {
+            threads,
+            ..snap.arch
+        };
         self.heap.clone_from(&snap.heap);
         self.cipher = snap.cipher.clone();
         self.events = None;
@@ -1196,7 +1192,7 @@ impl Machine {
         self.preempt = None;
         // Pending per-thread signal queues reference the cleared
         // preemption; a restore clears all storm state.
-        for t in &mut self.threads {
+        for t in &mut self.arch.threads {
             t.pending_signals = 0;
         }
     }
@@ -1204,124 +1200,28 @@ impl Machine {
     /// Hashes the machine's full semantic state into one deterministic
     /// 64-bit value: registers, bounds, the program counter, every
     /// [`ExecStats`] counter (cycles by bit pattern), halt status, all
-    /// mode flags, the thread table, the heap policy, injection depth
-    /// (live signal frames, unfired events, in-flight preemption) and the
-    /// address-space digest. Bookkeeping that cannot affect future
-    /// execution — the translation memo and inline caches, which frames
-    /// and cache chunks are shared with snapshots — is deliberately
-    /// excluded, so a machine rewound via checkpoint + restore and a
-    /// machine run from the start digest identically exactly when they
-    /// are observationally identical. The replay subsystem's equality
-    /// assertions are built on this.
+    /// mode flags, the thread table, injection depth (live signal frames,
+    /// unfired events, stream cursors, in-flight preemption), the heap
+    /// policy and the address space, in that order. Bookkeeping that
+    /// cannot affect future execution — the translation memo and inline
+    /// caches, which frames and cache chunks are shared with snapshots —
+    /// is deliberately excluded, so a machine rewound via checkpoint +
+    /// restore and a machine run from the start digest identically
+    /// exactly when they are observationally identical. The replay
+    /// subsystem's equality assertions are built on this.
     pub fn state_digest(&self) -> u64 {
         let mut d = memsentry_mmu::Digest::new();
-        for &r in &self.regs {
-            d.write_u64(r);
-        }
-        for &(lo, hi) in &self.bnd {
-            d.write_u64(lo);
-            d.write_u64(hi);
-        }
-        d.write_u64(self.pc.func.0 as u64);
-        d.write_u64(self.pc.index as u64);
-        let s = &self.stats;
-        for counter in [
-            s.instructions,
-            s.loads,
-            s.stores,
-            s.calls,
-            s.indirect_calls,
-            s.rets,
-            s.syscalls,
-            s.vmcalls,
-            s.vmfuncs,
-            s.wrpkrus,
-            s.bound_checks,
-            s.aes_chunks,
-            s.allocator_calls,
-            s.sgx_transitions,
-            s.signals,
-            s.preemptions,
-            s.dropped_events,
-            s.cycles.to_bits(),
-        ] {
-            d.write_u64(counter);
-        }
-        match self.halted {
-            Some(code) => {
-                d.write_u8(1);
-                d.write_u64(code);
-            }
-            None => d.write_u8(0),
-        }
-        d.write_u8(self.in_vm as u8);
-        d.write_u8(self.keys_in_xmm as u8);
-        d.write_u8(self.in_enclave as u8);
-        d.write_u8(self.syscall_passthrough as u8);
-        d.write_u8(self.cipher.is_some() as u8);
-        match self.last_masked {
-            Some(reg) => {
-                d.write_u8(1);
-                d.write_u64(reg.index() as u64);
-            }
-            None => d.write_u8(0),
-        }
-        match self.epc {
-            Some((lo, hi)) => {
-                d.write_u8(1);
-                d.write_u64(lo);
-                d.write_u64(hi);
-            }
-            None => d.write_u8(0),
-        }
-        d.write_u64(self.forced_alloc_failures);
-        d.write_u64(self.threads.len() as u64);
-        for t in &self.threads {
-            for &r in &t.regs {
-                d.write_u64(r);
-            }
-            d.write_u64(t.pc.func.0 as u64);
-            d.write_u64(t.pc.index as u64);
-            d.write_u64(t.pkru.0 as u64);
-            match t.halted {
-                Some(code) => {
-                    d.write_u8(1);
-                    d.write_u64(code);
-                }
-                None => d.write_u8(0),
-            }
-            d.write_u64(t.stack_base);
-            d.write_u64(t.pending_signals);
-        }
-        d.write_u64(self.active_thread as u64);
-        d.write_u64(self.signal_depth() as u64);
-        d.write_u64(self.pending_events() as u64);
-        // Stream cursors are mutable state: a storm that has fired k
-        // times differs from one that has fired k+1. No-stream schedules
-        // contribute the same bytes as an absent schedule.
-        match &self.events {
-            Some(s) => s.digest_streams_into(&mut d),
-            None => d.write_u64(0),
-        }
-        d.write_u8(self.preempt_active() as u8);
-        if let Some(heap) = &self.heap {
-            d.write_u8(1);
-            heap.digest_into(&mut d);
-        } else {
-            d.write_u8(0);
-        }
-        self.space.digest_into(&mut d);
+        let Ok(()) = self.walk(self, &mut d);
         d.finish()
     }
 
     /// Compares the machine with `other` component by component and
     /// names the first that differs — `rbx`, `stats.cycles`, `thread 1
-    /// pc`, `stream 2 cursor`, `frame 0x1c3 +0x18`, `L2 set 0x2a ways`,
-    /// `TLB slot 17 pte`, `EPT 1 gpfn 0x40 hpfn` — or returns `None` when
-    /// the two are observationally identical. It covers exactly what
-    /// [`Self::state_digest`] covers, in its order, and ignores what the
-    /// digest ignores (inline caches, the translation memo, the cache's
-    /// same-line memo, hit telemetry, frame and chunk sharing), so
+    /// pc index`, `stream 2 cursor`, `frame 0x1c3 +0x18`, `L2 set 0x2a
+    /// ways`, `TLB slot 17 pte`, `EPT 1 gpfn 0x40 hpfn` — or returns
+    /// `None` when the two are observationally identical. It walks the
+    /// one field list [`Self::state_digest`] feeds, so it covers and
+    /// ignores exactly what the digest does, in its order:
     /// `a.diff(b).is_none()` holds exactly when the digests are equal,
     /// short of a hash collision. Heaps the two do not share are
     /// compared by their [`HeapPolicy::digest_into`] streams.
@@ -1332,181 +1232,117 @@ impl Machine {
     /// memories or cache levels of one lineage visit only the frames and
     /// chunks either side marked, so the comparison costs what the two
     /// wrote since, not the size of the machine. Names cost nothing on the
-    /// equal path either: the register file with the bound registers and
-    /// the pc, [`ExecStats`] (with `cycles` also by bits) and the thread
-    /// table are each compared whole, and walked field by field to name
-    /// the difference only when that compare fails.
+    /// equal path either: the scalar architectural state (registers,
+    /// statistics with `cycles` also by bits, mode flags, threads) is
+    /// compared whole, and walked field by field to name the difference
+    /// only when that compare fails.
     pub fn diff(&self, other: &Machine) -> Option<Divergence> {
-        self.compare(other).err()
+        self.walk(other, &mut Compare).err()
     }
 
-    fn compare(&self, other: &Machine) -> Result<(), Divergence> {
-        // Each group is compared whole first; only a group that differs is
-        // walked field by field to name what differs.
-        if self.regs != other.regs || self.bnd != other.bnd || self.pc != other.pc {
-            self.compare_registers(other)?;
-        }
-        let (s, o) = (&self.stats, &other.stats);
-        if s != o || s.cycles.to_bits() != o.cycles.to_bits() {
-            self.compare_stats(other)?;
-        }
-        same_opt("halted", self.halted, other.halted)?;
-        for (name, a, b) in [
-            ("in_vm", self.in_vm, other.in_vm),
-            ("keys_in_xmm", self.keys_in_xmm, other.keys_in_xmm),
-            ("in_enclave", self.in_enclave, other.in_enclave),
-            (
+    /// The one field list behind [`Self::state_digest`] and
+    /// [`Self::diff`]: every semantic component of `self` and `other`
+    /// side by side, in digest order. [`ExecStats`], the thread table,
+    /// the stream cursors and the address space walk their own parts;
+    /// the heap policy joins as an opaque part.
+    fn walk<W: Walk>(&self, other: &Machine, w: &mut W) -> Result<(), W::Stop> {
+        let (a, b) = (&self.arch, &other.arch);
+        let cipher = |m: &Machine| m.cipher.is_some();
+        let bits = |s: &ArchState| s.stats.cycles.to_bits();
+        if !w.skips(|| a == b && bits(a) == bits(b) && cipher(self) == cipher(other)) {
+            let ArchState {
+                regs,
+                bnd,
+                pc,
+                stats,
+                halted,
+                in_vm,
+                keys_in_xmm,
+                last_masked,
+                epc,
+                in_enclave,
+                syscall_passthrough,
+                forced_alloc_failures,
+                threads,
+                active_thread,
+            } = a;
+            for r in Reg::ALL {
+                w.word(r, regs[r.index()], b.regs[r.index()])?;
+            }
+            for (i, (x, y)) in bnd.iter().zip(&b.bnd).enumerate() {
+                w.word(format_args!("bnd{i} lower"), x.0, y.0)?;
+                w.word(format_args!("bnd{i} upper"), x.1, y.1)?;
+            }
+            w.word("pc func", pc.func.0.into(), b.pc.func.0.into())?;
+            w.word("pc index", pc.index.into(), b.pc.index.into())?;
+            stats.walk(&b.stats, w)?;
+            w.opt("halted", *halted, b.halted)?;
+            w.flag("in_vm", *in_vm, b.in_vm)?;
+            w.flag("keys_in_xmm", *keys_in_xmm, b.keys_in_xmm)?;
+            w.flag("in_enclave", *in_enclave, b.in_enclave)?;
+            w.flag(
                 "syscall_passthrough",
-                self.syscall_passthrough,
-                other.syscall_passthrough,
-            ),
-            ("cipher", self.cipher.is_some(), other.cipher.is_some()),
-        ] {
-            same(name, a as u64, b as u64)?;
+                *syscall_passthrough,
+                b.syscall_passthrough,
+            )?;
+            w.flag("cipher", cipher(self), cipher(other))?;
+            let masked = |r: Option<Reg>| r.map(|r| r.index() as u64);
+            w.opt("last_masked", masked(*last_masked), masked(b.last_masked))?;
+            w.flag("epc", epc.is_some(), b.epc.is_some())?;
+            if let (Some(x), Some(y)) = (epc, b.epc) {
+                w.word("epc lower", x.0, y.0)?;
+                w.word("epc upper", x.1, y.1)?;
+            }
+            w.word(
+                "forced_alloc_failures",
+                *forced_alloc_failures,
+                b.forced_alloc_failures,
+            )?;
+            ThreadCtx::walk_table(threads, &b.threads, w)?;
+            w.word(
+                "active_thread",
+                *active_thread as u64,
+                b.active_thread as u64,
+            )?;
         }
-        let masked = |m: &Machine| m.last_masked.map(|r| r.index() as u64);
-        same_opt("last_masked", masked(self), masked(other))?;
-        same("epc", self.epc.is_some() as u64, other.epc.is_some() as u64)?;
-        if let (Some(a), Some(b)) = (self.epc, other.epc) {
-            same("epc lower", a.0, b.0)?;
-            same("epc upper", a.1, b.1)?;
-        }
-        same(
-            "forced_alloc_failures",
-            self.forced_alloc_failures,
-            other.forced_alloc_failures,
-        )?;
-        if self.threads != other.threads {
-            self.compare_threads(other)?;
-        }
-        same(
-            "active_thread",
-            self.active_thread as u64,
-            other.active_thread as u64,
-        )?;
-        same(
+        w.word(
             "signal_depth",
             self.signal_depth() as u64,
             other.signal_depth() as u64,
         )?;
-        same(
+        w.word(
             "pending_events",
             self.pending_events() as u64,
             other.pending_events() as u64,
         )?;
-        // An absent schedule compares like one without streams, as it
-        // digests.
-        let streams = |m: &Machine| m.events.as_ref().map_or(0, |s| s.cursors().len() as u64);
-        same("streams", streams(self), streams(other))?;
-        if let (Some(a), Some(b)) = (&self.events, &other.events) {
-            for (i, (a, b)) in a.cursors().zip(b.cursors()).enumerate() {
-                same(format_args!("stream {i} fired"), a.0, b.0)?;
-                same_opt(format_args!("stream {i} cursor"), a.1, b.1)?;
-            }
-        }
-        same(
-            "preemption",
-            self.preempt_active() as u64,
-            other.preempt_active() as u64,
-        )?;
-        match (&self.heap, &other.heap) {
-            (Some(a), Some(b)) if !Rc::ptr_eq(a, b) => {
-                let digest = |h: &Rc<dyn HeapPolicy>| {
-                    let mut d = memsentry_mmu::Digest::new();
-                    h.digest_into(&mut d);
-                    d.finish()
-                };
-                same("heap digest", digest(a), digest(b))?;
-            }
-            // A policy both share is equal unhashed.
-            (a, b) => same("heap", a.is_some() as u64, b.is_some() as u64)?,
-        }
-        self.space.diff(&other.space).map_or(Ok(()), Err)
-    }
-
-    /// The register part of [`Self::compare`], field by field: the
-    /// general-purpose registers, the bound registers and the pc.
-    fn compare_registers(&self, other: &Machine) -> Result<(), Divergence> {
-        for r in Reg::ALL {
-            same(r, self.regs[r.index()], other.regs[r.index()])?;
-        }
-        for (i, (a, b)) in self.bnd.iter().zip(&other.bnd).enumerate() {
-            same(format_args!("bnd{i} lower"), a.0, b.0)?;
-            same(format_args!("bnd{i} upper"), a.1, b.1)?;
-        }
-        same("pc", self.pc.encode(), other.pc.encode())
-    }
-
-    /// The [`ExecStats`] part of [`Self::compare`], counter by counter,
-    /// `cycles` by bit pattern.
-    fn compare_stats(&self, other: &Machine) -> Result<(), Divergence> {
-        let (s, o) = (&self.stats, &other.stats);
-        for (name, a, b) in [
-            ("instructions", s.instructions, o.instructions),
-            ("loads", s.loads, o.loads),
-            ("stores", s.stores, o.stores),
-            ("calls", s.calls, o.calls),
-            ("indirect_calls", s.indirect_calls, o.indirect_calls),
-            ("rets", s.rets, o.rets),
-            ("syscalls", s.syscalls, o.syscalls),
-            ("vmcalls", s.vmcalls, o.vmcalls),
-            ("vmfuncs", s.vmfuncs, o.vmfuncs),
-            ("wrpkrus", s.wrpkrus, o.wrpkrus),
-            ("bound_checks", s.bound_checks, o.bound_checks),
-            ("aes_chunks", s.aes_chunks, o.aes_chunks),
-            ("allocator_calls", s.allocator_calls, o.allocator_calls),
-            ("sgx_transitions", s.sgx_transitions, o.sgx_transitions),
-            ("signals", s.signals, o.signals),
-            ("preemptions", s.preemptions, o.preemptions),
-            ("dropped_events", s.dropped_events, o.dropped_events),
-            ("cycles", s.cycles.to_bits(), o.cycles.to_bits()),
-        ] {
-            same(format_args!("stats.{name}"), a, b)?;
-        }
-        Ok(())
-    }
-
-    /// The thread-table part of [`Self::compare`]: the thread count, then
-    /// each thread field by field.
-    fn compare_threads(&self, other: &Machine) -> Result<(), Divergence> {
-        same(
-            "threads",
-            self.threads.len() as u64,
-            other.threads.len() as u64,
-        )?;
-        for (t, (a, b)) in self.threads.iter().zip(&other.threads).enumerate() {
-            for r in Reg::ALL {
-                same(
-                    format_args!("thread {t} {r}"),
-                    a.regs[r.index()],
-                    b.regs[r.index()],
-                )?;
-            }
-            same(format_args!("thread {t} pc"), a.pc.encode(), b.pc.encode())?;
-            same(
-                format_args!("thread {t} pkru"),
-                a.pkru.0.into(),
-                b.pkru.0.into(),
-            )?;
-            same_opt(format_args!("thread {t} halted"), a.halted, b.halted)?;
-            same(
-                format_args!("thread {t} stack_base"),
-                a.stack_base,
-                b.stack_base,
-            )?;
-            same(
-                format_args!("thread {t} pending_signals"),
-                a.pending_signals,
-                b.pending_signals,
+        EventSchedule::walk_streams(self.events.as_ref(), other.events.as_ref(), w)?;
+        w.flag("preemption", self.preempt_active(), other.preempt_active())?;
+        w.flag("heap", self.heap.is_some(), other.heap.is_some())?;
+        if let (Some(x), Some(y)) = (&self.heap, &other.heap) {
+            w.part(
+                |d| x.digest_into(d),
+                || {
+                    // A policy both share is equal unhashed.
+                    if Rc::ptr_eq(x, y) {
+                        return Ok(());
+                    }
+                    let digest = |h: &Rc<dyn HeapPolicy>| {
+                        let mut d = memsentry_mmu::Digest::new();
+                        h.digest_into(&mut d);
+                        d.finish()
+                    };
+                    same("heap digest", digest(x), digest(y))
+                },
             )?;
         }
-        Ok(())
+        self.space.walk(&other.space, w)
     }
 }
 
-/// A copy of a [`Machine`]'s mutable architectural state: address space
-/// (page tables, physical frames, TLB, caches, EPTs), registers,
-/// statistics, threads, heap policy and cipher. Created by
+/// A copy of a [`Machine`]'s mutable state: the address space (page
+/// tables, physical frames, TLB, caches, EPTs), the scalar architectural
+/// state (registers, statistics, mode flags and threads, one struct
+/// copied whole), the heap policy and the cipher. Created by
 /// [`Machine::snapshot`], consumed (repeatedly, in any order with other
 /// snapshots) by [`Machine::restore`]. Physical frames, the frame
 /// table's blocks of slots, cache chunks, the EPT list and the heap
@@ -1521,20 +1357,7 @@ impl Machine {
 #[derive(Debug)]
 pub struct MachineSnapshot {
     space: AddressSpace,
-    regs: [u64; 16],
-    bnd: [(u64, u64); 4],
-    pc: CodeAddr,
-    stats: ExecStats,
-    halted: Option<u64>,
-    in_vm: bool,
-    keys_in_xmm: bool,
-    last_masked: Option<Reg>,
-    epc: Option<(u64, u64)>,
-    in_enclave: bool,
-    syscall_passthrough: bool,
-    forced_alloc_failures: u64,
-    threads: Vec<ThreadCtx>,
-    active_thread: usize,
+    arch: ArchState,
     heap: Option<Rc<dyn HeapPolicy>>,
     cipher: Option<RegionCipher>,
 }
@@ -1543,12 +1366,12 @@ impl MachineSnapshot {
     /// Retired-instruction count at capture time (sweep offsets are
     /// scheduled relative to this).
     pub fn instructions(&self) -> u64 {
-        self.stats.instructions
+        self.arch.stats.instructions
     }
 
     /// Simulated cycles at capture time.
     pub fn cycles(&self) -> f64 {
-        self.stats.cycles
+        self.arch.stats.cycles
     }
 }
 
@@ -1893,7 +1716,7 @@ pub(crate) mod tests {
         assert!(shared(&m));
         let pristine = heap_of(&snap.heap);
         m.run_until(2).unwrap();
-        let first = m.regs[Reg::Rax.index()];
+        let first = m.arch.regs[Reg::Rax.index()];
         assert!(!shared(&m), "the alloc copied the policy");
         assert_eq!(heap_of(&snap.heap), pristine);
         assert_eq!(heap_of(&m.heap).0, 64);
@@ -1906,7 +1729,7 @@ pub(crate) mod tests {
         assert_eq!(heap_of(&m.heap).0, 128);
         m.restore(&snap);
         m.run_until(2).unwrap();
-        assert_eq!(m.regs[Reg::Rax.index()], first);
+        assert_eq!(m.arch.regs[Reg::Rax.index()], first);
         // Two restores from one snapshot give equal heaps, also after
         // running the rest of the program.
         let mut twin = Machine::new(p);
@@ -2933,7 +2756,7 @@ pub(crate) mod tests {
         loop {
             match m.step() {
                 Ok(()) => {
-                    if let Some(code) = m.halted {
+                    if let Some(code) = m.arch.halted {
                         return RunOutcome::Exited(code);
                     }
                 }
@@ -2944,18 +2767,24 @@ pub(crate) mod tests {
 
     #[track_caller]
     fn assert_machines_identical(a: &Machine, b: &Machine, ctx: &str) {
-        assert_eq!(a.stats, b.stats, "stats diverge: {ctx}");
+        assert_eq!(a.arch.stats, b.arch.stats, "stats diverge: {ctx}");
         assert_eq!(
-            a.stats.cycles.to_bits(),
-            b.stats.cycles.to_bits(),
+            a.arch.stats.cycles.to_bits(),
+            b.arch.stats.cycles.to_bits(),
             "cycle bits diverge: {ctx}"
         );
-        assert_eq!(a.regs, b.regs, "registers diverge: {ctx}");
-        assert_eq!(a.pc, b.pc, "pc diverges: {ctx}");
-        assert_eq!(a.halted, b.halted, "halt state diverges: {ctx}");
+        assert_eq!(a.arch.regs, b.arch.regs, "registers diverge: {ctx}");
+        assert_eq!(a.arch.pc, b.arch.pc, "pc diverges: {ctx}");
+        assert_eq!(a.arch.halted, b.arch.halted, "halt state diverges: {ctx}");
         assert_eq!(a.space.pkru, b.space.pkru, "pkru diverges: {ctx}");
-        assert_eq!(a.last_masked, b.last_masked, "last_masked diverges: {ctx}");
-        assert_eq!(a.active_thread, b.active_thread, "thread diverges: {ctx}");
+        assert_eq!(
+            a.arch.last_masked, b.arch.last_masked,
+            "last_masked diverges: {ctx}"
+        );
+        assert_eq!(
+            a.arch.active_thread, b.arch.active_thread,
+            "thread diverges: {ctx}"
+        );
     }
 
     #[test]
@@ -2968,7 +2797,7 @@ pub(crate) mod tests {
         for seed in 0..6u64 {
             let mut clean = equivalence_machine(seed, None);
             let n = match clean.run() {
-                RunOutcome::Exited(_) => clean.stats.instructions,
+                RunOutcome::Exited(_) => clean.arch.stats.instructions,
                 RunOutcome::Trapped(t) => panic!("clean run trapped: {t} (seed {seed})"),
             };
             for at in 0..=n + 2 {
@@ -3006,7 +2835,7 @@ pub(crate) mod tests {
         for seed in 0..6u64 {
             let mut clean = equivalence_machine(seed, None);
             clean.run().expect_exit();
-            let n = clean.stats.instructions;
+            let n = clean.arch.stats.instructions;
             let events = vec![
                 crate::events::Event {
                     at: 0,
@@ -3052,7 +2881,7 @@ pub(crate) mod tests {
         for seed in 0..4u64 {
             let mut clean = equivalence_machine(seed, None);
             clean.run().expect_exit();
-            let n = clean.stats.instructions;
+            let n = clean.arch.stats.instructions;
             for fuel in [0, 1, n / 2, n.saturating_sub(1), n, n + 5] {
                 let mut fast = equivalence_machine(seed, None);
                 let mut slow = equivalence_machine(seed, None);
@@ -3071,7 +2900,7 @@ pub(crate) mod tests {
     fn run_until_stops_exactly_at_the_boundary() {
         let mut m = equivalence_machine(1, None);
         m.run_until(5).unwrap();
-        assert_eq!(m.stats.instructions, 5);
+        assert_eq!(m.arch.stats.instructions, 5);
         // An event due exactly at the stop boundary has not fired yet...
         m.set_event_schedule(EventSchedule::at(
             5,
@@ -3084,7 +2913,7 @@ pub(crate) mod tests {
         // ...and fires before the next instruction once execution resumes.
         m.run_until(6).unwrap();
         assert_eq!(m.pending_events(), 0);
-        assert_eq!(m.stats.instructions, 6);
+        assert_eq!(m.arch.stats.instructions, 6);
         let mut buf = [0u8; 8];
         m.space.peek(VirtAddr(SCRATCH + 32), &mut buf);
         assert_eq!(u64::from_le_bytes(buf), 9);
@@ -3101,22 +2930,22 @@ pub(crate) mod tests {
             b.push(Inst::Halt);
         });
         assert_eq!(out.expect_exit(), 0);
-        let before = (m.stats, m.pc, m.state_digest());
+        let before = (m.arch.stats, m.arch.pc, m.state_digest());
         m.step().unwrap();
-        m.run_until(m.stats.instructions + 1).unwrap();
+        m.run_until(m.arch.stats.instructions + 1).unwrap();
         assert_eq!(m.reg(Reg::Rax), 0);
         assert_eq!(m.exit_code(), Some(0));
-        assert_eq!((m.stats, m.pc, m.state_digest()), before);
+        assert_eq!((m.arch.stats, m.arch.pc, m.state_digest()), before);
     }
 
     #[test]
     fn run_until_at_current_boundary_is_a_no_op() {
         let mut m = equivalence_machine(2, None);
         m.run_until(3).unwrap();
-        let stats = m.stats;
+        let stats = m.arch.stats;
         m.run_until(3).unwrap();
         m.run_until(2).unwrap();
-        assert_eq!(m.stats, stats);
+        assert_eq!(m.arch.stats, stats);
     }
 
     use crate::events::StreamSource;
@@ -3193,17 +3022,26 @@ pub(crate) mod tests {
         let mut rows: Vec<(String, Mutation)> = Vec::new();
         let mut row = |name: &str, f: Mutation| rows.push((name.to_string(), f));
         for r in Reg::ALL {
-            row(&r.to_string(), Box::new(move |m| m.regs[r.index()] ^= 1));
+            row(
+                &r.to_string(),
+                Box::new(move |m| m.arch.regs[r.index()] ^= 1),
+            );
             row(
                 &format!("thread 1 {r}"),
-                Box::new(move |m| m.threads[1].regs[r.index()] ^= 1),
+                Box::new(move |m| m.arch.threads[1].regs[r.index()] ^= 1),
             );
         }
         for i in 0..4 {
-            row(&format!("bnd{i} lower"), Box::new(move |m| m.bnd[i].0 += 1));
-            row(&format!("bnd{i} upper"), Box::new(move |m| m.bnd[i].1 -= 1));
+            row(
+                &format!("bnd{i} lower"),
+                Box::new(move |m| m.arch.bnd[i].0 += 1),
+            );
+            row(
+                &format!("bnd{i} upper"),
+                Box::new(move |m| m.arch.bnd[i].1 -= 1),
+            );
         }
-        row("pc", Box::new(|m| m.pc.index += 1));
+        row("pc", Box::new(|m| m.arch.pc.index += 1));
         type Counter = (&'static str, fn(&mut ExecStats));
         let counters: [Counter; 18] = [
             ("instructions", |s| s.instructions += 1),
@@ -3228,52 +3066,55 @@ pub(crate) mod tests {
         for (name, bump) in counters {
             row(
                 &format!("stats.{name}"),
-                Box::new(move |m| bump(&mut m.stats)),
+                Box::new(move |m| bump(&mut m.arch.stats)),
             );
         }
-        row("halted", Box::new(|m| m.halted = Some(0)));
-        row("in_vm", Box::new(|m| m.in_vm = true));
-        row("keys_in_xmm", Box::new(|m| m.keys_in_xmm = true));
-        row("in_enclave", Box::new(|m| m.in_enclave = true));
+        row("halted", Box::new(|m| m.arch.halted = Some(0)));
+        row("in_vm", Box::new(|m| m.arch.in_vm = true));
+        row("keys_in_xmm", Box::new(|m| m.arch.keys_in_xmm = true));
+        row("in_enclave", Box::new(|m| m.arch.in_enclave = true));
         row(
             "syscall_passthrough",
-            Box::new(|m| m.syscall_passthrough = true),
+            Box::new(|m| m.arch.syscall_passthrough = true),
         );
         row("cipher", Box::new(|m| m.install_aes_key(&[7; 16])));
-        row("last_masked", Box::new(|m| m.last_masked = Some(Reg::R9)));
-        row("epc", Box::new(|m| m.epc = None));
+        row(
+            "last_masked",
+            Box::new(|m| m.arch.last_masked = Some(Reg::R9)),
+        );
+        row("epc", Box::new(|m| m.arch.epc = None));
         row("epc lower", Box::new(|m| m.set_epc_range(0x8000, 0x2000)));
         row("epc upper", Box::new(|m| m.set_epc_range(0x9000, 0x2000)));
         row(
             "forced_alloc_failures",
-            Box::new(|m| m.forced_alloc_failures += 1),
+            Box::new(|m| m.arch.forced_alloc_failures += 1),
         );
         row(
             "threads",
-            Box::new(|m| m.threads.push(m.threads[1].clone())),
+            Box::new(|m| m.arch.threads.push(m.arch.threads[1].clone())),
         );
-        row("thread 1 pc", Box::new(|m| m.threads[1].pc.index += 1));
-        row("thread 1 pkru", Box::new(|m| m.threads[1].pkru.0 ^= 4));
+        row("thread 1 pc", Box::new(|m| m.arch.threads[1].pc.index += 1));
+        row("thread 1 pkru", Box::new(|m| m.arch.threads[1].pkru.0 ^= 4));
         row(
             "thread 1 halted",
-            Box::new(|m| m.threads[1].halted = Some(3)),
+            Box::new(|m| m.arch.threads[1].halted = Some(3)),
         );
         row(
             "thread 1 stack_base",
-            Box::new(|m| m.threads[1].stack_base += 4096),
+            Box::new(|m| m.arch.threads[1].stack_base += 4096),
         );
         row(
             "thread 1 pending_signals",
-            Box::new(|m| m.threads[1].pending_signals += 1),
+            Box::new(|m| m.arch.threads[1].pending_signals += 1),
         );
-        row("active_thread", Box::new(|m| m.active_thread = 1));
+        row("active_thread", Box::new(|m| m.arch.active_thread = 1));
         row(
             "signal_depth",
             Box::new(|m| {
                 m.signal_frames.push(SignalFrame {
-                    regs: m.regs,
-                    bnd: m.bnd,
-                    pc: m.pc,
+                    regs: m.arch.regs,
+                    bnd: m.arch.bnd,
+                    pc: m.arch.pc,
                     last_masked: None,
                     saved: None,
                 })
@@ -3353,6 +3194,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn restore_undoes_every_digested_component() {
+        let base = busy_machine(MachineConfig::default());
+        for (component, mutate) in mutation_table() {
+            let mut m = busy_machine(MachineConfig::default());
+            let schedule = m.event_schedule().cloned().unwrap();
+            let snap = m.snapshot();
+            mutate(&mut m);
+            m.restore(&snap);
+            m.set_event_schedule(schedule);
+            assert_eq!(verdict(&m, &base), None, "{component}");
+        }
+    }
+
+    #[test]
     fn cycles_compare_by_bits() {
         // `==` calls 0.0 and -0.0 equal, but they digest apart; two NaNs
         // with one bit pattern digest alike though `==` calls them unequal.
@@ -3361,9 +3216,9 @@ pub(crate) mod tests {
             busy_machine(MachineConfig::default()),
             busy_machine(MachineConfig::default()),
         );
-        (a.stats.cycles, b.stats.cycles) = (0.0, -0.0);
+        (a.arch.stats.cycles, b.arch.stats.cycles) = (0.0, -0.0);
         assert_eq!(verdict(&a, &b).unwrap().component, "stats.cycles");
-        (a.stats.cycles, b.stats.cycles) = (f64::NAN, f64::NAN);
+        (a.arch.stats.cycles, b.arch.stats.cycles) = (f64::NAN, f64::NAN);
         assert_eq!(verdict(&a, &b), None);
         assert_eq!(verdict(&a, &base).unwrap().component, "stats.cycles");
     }

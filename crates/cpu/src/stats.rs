@@ -5,6 +5,8 @@
 //! actually executed (e.g. that a shadow-stack run performed the expected
 //! number of domain switches).
 
+use memsentry_mmu::diff::Walk;
+
 /// Counters accumulated by the interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecStats {
@@ -58,6 +60,55 @@ impl ExecStats {
         } else {
             self.cycles / self.instructions as f64
         }
+    }
+
+    /// The statistics' part of the machine's state walk: every counter
+    /// as `stats.<name>`, `cycles` by bit pattern.
+    pub(crate) fn walk<W: Walk>(&self, other: &ExecStats, w: &mut W) -> Result<(), W::Stop> {
+        let ExecStats {
+            instructions,
+            loads,
+            stores,
+            calls,
+            indirect_calls,
+            rets,
+            syscalls,
+            vmcalls,
+            vmfuncs,
+            wrpkrus,
+            bound_checks,
+            aes_chunks,
+            allocator_calls,
+            sgx_transitions,
+            signals,
+            preemptions,
+            dropped_events,
+            cycles,
+        } = *self;
+        let o = other;
+        for (name, a, b) in [
+            ("instructions", instructions, o.instructions),
+            ("loads", loads, o.loads),
+            ("stores", stores, o.stores),
+            ("calls", calls, o.calls),
+            ("indirect_calls", indirect_calls, o.indirect_calls),
+            ("rets", rets, o.rets),
+            ("syscalls", syscalls, o.syscalls),
+            ("vmcalls", vmcalls, o.vmcalls),
+            ("vmfuncs", vmfuncs, o.vmfuncs),
+            ("wrpkrus", wrpkrus, o.wrpkrus),
+            ("bound_checks", bound_checks, o.bound_checks),
+            ("aes_chunks", aes_chunks, o.aes_chunks),
+            ("allocator_calls", allocator_calls, o.allocator_calls),
+            ("sgx_transitions", sgx_transitions, o.sgx_transitions),
+            ("signals", signals, o.signals),
+            ("preemptions", preemptions, o.preemptions),
+            ("dropped_events", dropped_events, o.dropped_events),
+            ("cycles", cycles.to_bits(), o.cycles.to_bits()),
+        ] {
+            w.word(format_args!("stats.{name}"), a, b)?;
+        }
+        Ok(())
     }
 }
 

@@ -19,6 +19,7 @@
 //! every thread has halted.
 
 use memsentry_ir::{CodeAddr, FuncId, Reg};
+use memsentry_mmu::diff::Walk;
 use memsentry_mmu::{PageFlags, Pkru, VirtAddr};
 
 use crate::machine::{Machine, RunOutcome, STACK_SIZE, STACK_TOP};
@@ -33,9 +34,63 @@ pub struct ThreadCtx {
     pub(crate) halted: Option<u64>,
     pub(crate) stack_base: u64,
     /// Signals queued while the thread was forcibly preempted; delivered
-    /// in order at switch-back. Part of [`crate::MachineSnapshot`] (the
-    /// thread table is cloned whole) and of `Machine::state_digest`.
+    /// in order at switch-back. Part of the machine's architectural state
+    /// like every field here, so [`crate::MachineSnapshot`] captures it,
+    /// `Machine::state_digest` feeds it and `Machine::diff` names it; a
+    /// restore clears it.
     pub(crate) pending_signals: u64,
+}
+
+impl ThreadCtx {
+    /// The thread table's part of the machine's state walk: the thread
+    /// count, then each thread field by field as `thread <t> <field>`.
+    pub(crate) fn walk_table<W: Walk>(a: &[Self], b: &[Self], w: &mut W) -> Result<(), W::Stop> {
+        w.word("threads", a.len() as u64, b.len() as u64)?;
+        for (t, (x, y)) in a.iter().zip(b).enumerate() {
+            let ThreadCtx {
+                regs,
+                pc,
+                pkru,
+                halted,
+                stack_base,
+                pending_signals,
+            } = x;
+            for r in Reg::ALL {
+                w.word(
+                    format_args!("thread {t} {r}"),
+                    regs[r.index()],
+                    y.regs[r.index()],
+                )?;
+            }
+            w.word(
+                format_args!("thread {t} pc func"),
+                pc.func.0.into(),
+                y.pc.func.0.into(),
+            )?;
+            w.word(
+                format_args!("thread {t} pc index"),
+                pc.index.into(),
+                y.pc.index.into(),
+            )?;
+            w.word(
+                format_args!("thread {t} pkru"),
+                pkru.0.into(),
+                y.pkru.0.into(),
+            )?;
+            w.opt(format_args!("thread {t} halted"), *halted, y.halted)?;
+            w.word(
+                format_args!("thread {t} stack_base"),
+                *stack_base,
+                y.stack_base,
+            )?;
+            w.word(
+                format_args!("thread {t} pending_signals"),
+                *pending_signals,
+                y.pending_signals,
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Gap kept between thread stacks (a guard page's worth).
@@ -66,28 +121,28 @@ impl Machine {
             stack_base,
             pending_signals: 0,
         };
-        self.threads.push(ctx);
-        self.threads.len() - 1
+        self.arch.threads.push(ctx);
+        self.arch.threads.len() - 1
     }
 
     /// Slot 0 mirrors the main thread; create it lazily.
     pub(crate) fn ensure_main_slot(&mut self) {
-        if self.threads.is_empty() {
-            self.threads.push(ThreadCtx {
-                regs: self.regs,
-                pc: self.pc,
+        if self.arch.threads.is_empty() {
+            self.arch.threads.push(ThreadCtx {
+                regs: self.arch.regs,
+                pc: self.arch.pc,
                 pkru: self.space.pkru,
-                halted: self.halted,
+                halted: self.arch.halted,
                 stack_base: STACK_TOP - STACK_SIZE,
                 pending_signals: 0,
             });
-            self.active_thread = 0;
+            self.arch.active_thread = 0;
         }
     }
 
     /// Number of threads (1 before any spawn).
     pub fn thread_count(&self) -> usize {
-        self.threads.len().max(1)
+        self.arch.threads.len().max(1)
     }
 
     /// The stack range `(base, size)` of thread `tid`.
@@ -96,14 +151,15 @@ impl Machine {
     ///
     /// Panics if `tid` is out of range.
     pub fn thread_stack(&self, tid: usize) -> (u64, u64) {
-        if self.threads.is_empty() && tid == 0 {
+        if self.arch.threads.is_empty() && tid == 0 {
             return (STACK_TOP - STACK_SIZE, STACK_SIZE);
         }
-        (self.threads[tid].stack_base, STACK_SIZE)
+        (self.arch.threads[tid].stack_base, STACK_SIZE)
     }
 
     fn next_thread_stack(&self) -> u64 {
         let lowest = self
+            .arch
             .threads
             .iter()
             .map(|t| t.stack_base)
@@ -123,20 +179,20 @@ impl Machine {
     /// thread with different key rights simply stops the memo from
     /// matching.
     pub(crate) fn switch_thread(&mut self, tid: usize) {
-        if tid == self.active_thread {
+        if tid == self.arch.active_thread {
             return;
         }
-        let active = self.active_thread;
-        self.threads[active].regs = self.regs;
-        self.threads[active].pc = self.pc;
-        self.threads[active].pkru = self.space.pkru;
-        self.threads[active].halted = self.halted;
-        let next = self.threads[tid].clone();
-        self.regs = next.regs;
-        self.pc = next.pc;
+        let active = self.arch.active_thread;
+        self.arch.threads[active].regs = self.arch.regs;
+        self.arch.threads[active].pc = self.arch.pc;
+        self.arch.threads[active].pkru = self.space.pkru;
+        self.arch.threads[active].halted = self.arch.halted;
+        let next = self.arch.threads[tid].clone();
+        self.arch.regs = next.regs;
+        self.arch.pc = next.pc;
         self.space.pkru = next.pkru;
-        self.halted = next.halted;
-        self.active_thread = tid;
+        self.arch.halted = next.halted;
+        self.arch.active_thread = tid;
     }
 
     /// Runs all threads round-robin (`quantum` instructions each) until
@@ -148,7 +204,7 @@ impl Machine {
         self.ensure_main_slot();
         loop {
             let mut all_done = true;
-            for tid in 0..self.threads.len() {
+            for tid in 0..self.arch.threads.len() {
                 self.switch_thread(tid);
                 if self.is_halted() {
                     continue;

@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use crate::diff::{same, Divergence};
+use crate::diff::{same, Divergence, Walk};
 use crate::digest::Digest;
 use crate::stamp::{marked, unit_mut, Stamp, Unit};
 
@@ -412,29 +412,24 @@ impl CacheHierarchy {
     /// Feeds the hierarchy's semantic state (all three levels' set
     /// contents plus the hit counters) into `d`.
     pub fn digest_into(&self, d: &mut Digest) {
-        self.l1.digest_into(d);
-        self.l2.digest_into(d);
-        self.l3.digest_into(d);
-        d.write_u64(self.stats.l1);
-        d.write_u64(self.stats.l2);
-        d.write_u64(self.stats.l3);
-        d.write_u64(self.stats.dram);
+        let Ok(()) = self.walk(self, d);
     }
 
-    /// Compares what [`Self::digest_into`] feeds, in its order: the three
-    /// levels' live set contents, then the hit counters. The same-line
-    /// memo, the stamps and the set marks are ignored, like the digest
-    /// ignores them; levels of one lineage compare only the sets either
-    /// side marked (see [`crate::stamp`]).
-    pub(crate) fn compare(&self, other: &CacheHierarchy) -> Result<(), Divergence> {
-        self.l1.compare(&other.l1, "L1")?;
-        self.l2.compare(&other.l2, "L2")?;
-        self.l3.compare(&other.l3, "L3")?;
+    /// The field list behind [`Self::digest_into`] and a space's `diff`:
+    /// the three levels' live set contents, then the hit counters. The
+    /// same-line memo, the stamps and the set marks are ignored, like the
+    /// digest ignores them; levels of one lineage compare only the sets
+    /// either side marked (see [`crate::stamp`]).
+    pub(crate) fn walk<W: Walk>(&self, other: &CacheHierarchy, w: &mut W) -> Result<(), W::Stop> {
+        let (x, y) = (self, other);
+        w.part(|d| x.l1.digest_into(d), || x.l1.compare(&y.l1, "L1"))?;
+        w.part(|d| x.l2.digest_into(d), || x.l2.compare(&y.l2, "L2"))?;
+        w.part(|d| x.l3.digest_into(d), || x.l3.compare(&y.l3, "L3"))?;
         let (a, b) = (self.stats, other.stats);
-        same("L1 hits", a.l1, b.l1)?;
-        same("L2 hits", a.l2, b.l2)?;
-        same("L3 hits", a.l3, b.l3)?;
-        same("DRAM accesses", a.dram, b.dram)
+        w.word("L1 hits", a.l1, b.l1)?;
+        w.word("L2 hits", a.l2, b.l2)?;
+        w.word("L3 hits", a.l3, b.l3)?;
+        w.word("DRAM accesses", a.dram, b.dram)
     }
 
     /// Rewinds `self` to the state of `src`, which may be any hierarchy
@@ -459,7 +454,7 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::Mutation;
+    use crate::diff::{Compare, Mutation};
     use crate::digest::tests::Serial;
 
     #[test]
@@ -732,7 +727,8 @@ mod tests {
         chunk.marked |= 1 << 5;
         chunk.tags[5][0] ^= 1;
         assert_eq!(verdict(&a, &b).unwrap().component, "L3 set 0x1045 way 0");
-        assert_eq!(b.compare(&a).unwrap_err().component, "L3 set 0x1045 way 0");
+        let d = b.walk(&a, &mut Compare).unwrap_err();
+        assert_eq!(d.component, "L3 set 0x1045 way 0");
     }
 
     #[test]
@@ -898,9 +894,9 @@ mod tests {
     /// Both state-equality oracles at once: `compare`'s verdict, which
     /// must agree with digest equality in both directions.
     fn verdict(a: &CacheHierarchy, b: &CacheHierarchy) -> Option<Divergence> {
-        let d = a.compare(b).err();
+        let d = a.walk(b, &mut Compare).err();
         assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
-        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        assert_eq!(d.is_none(), b.walk(a, &mut Compare).is_ok(), "{d:?}");
         d
     }
 

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::diff::{same, Divergence};
+use crate::diff::{same, Divergence, Walk};
 
 /// Access attempted through the EPT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,32 +216,28 @@ impl EptSet {
     /// Feeds the whole EPTP list (every table, the active pointer, the
     /// fill policy and the switch counter) into `d`.
     pub fn digest_into(&self, d: &mut crate::digest::Digest) {
-        d.write_u64(self.epts.len() as u64);
-        for ept in self.epts.iter() {
-            ept.digest_into(d);
-        }
-        d.write_u64(self.active as u64);
-        d.write_u8(self.demand_fill as u8);
-        d.write_u64(self.switches);
+        let Ok(()) = self.walk(self, d);
     }
 
-    /// Compares what [`Self::digest_into`] feeds, in its order: the list
-    /// length, every table, the active pointer, the fill policy and the
-    /// switch counter.
-    pub(crate) fn compare(&self, other: &EptSet) -> Result<(), Divergence> {
-        same("EPT count", self.epts.len() as u64, other.epts.len() as u64)?;
-        if !Rc::ptr_eq(&self.epts, &other.epts) {
-            for (i, (a, b)) in self.epts.iter().zip(other.epts.iter()).enumerate() {
-                a.compare(b, i)?;
-            }
-        }
-        same("active EPT", self.active as u64, other.active as u64)?;
-        same(
-            "EPT demand fill",
-            self.demand_fill as u64,
-            other.demand_fill as u64,
+    /// The field list behind [`Self::digest_into`] and a space's `diff`:
+    /// the list length, every table (a list both sides share is equal
+    /// unread), the active pointer, the fill policy and the switch
+    /// counter.
+    pub(crate) fn walk<W: Walk>(&self, other: &EptSet, w: &mut W) -> Result<(), W::Stop> {
+        w.word("EPT count", self.epts.len() as u64, other.epts.len() as u64)?;
+        w.part(
+            |d| self.epts.iter().for_each(|ept| ept.digest_into(d)),
+            || {
+                if Rc::ptr_eq(&self.epts, &other.epts) {
+                    return Ok(());
+                }
+                let mut pairs = self.epts.iter().zip(other.epts.iter()).enumerate();
+                pairs.try_for_each(|(i, (a, b))| a.compare(b, i))
+            },
         )?;
-        same("EPT switches", self.switches, other.switches)
+        w.word("active EPT", self.active as u64, other.active as u64)?;
+        w.flag("EPT demand fill", self.demand_fill, other.demand_fill)?;
+        w.word("EPT switches", self.switches, other.switches)
     }
 
     /// Number of `vmfunc` switches performed.
@@ -312,7 +308,7 @@ impl EptSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::Mutation;
+    use crate::diff::{Compare, Mutation};
 
     #[test]
     fn demand_fill_populates_identity() {
@@ -429,9 +425,9 @@ mod tests {
     /// Both state-equality oracles at once: `compare`'s verdict, which
     /// must agree with digest equality in both directions.
     fn verdict(a: &EptSet, b: &EptSet) -> Option<Divergence> {
-        let d = a.compare(b).err();
+        let d = a.walk(b, &mut Compare).err();
         assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
-        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        assert_eq!(d.is_none(), b.walk(a, &mut Compare).is_ok(), "{d:?}");
         d
     }
 

@@ -31,7 +31,7 @@
 use std::rc::Rc;
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
-use crate::diff::{same, same_opt, Divergence};
+use crate::diff::{same, Divergence, Walk};
 use crate::digest::Digest;
 use crate::stamp::{marked, unit_mut, Stamp, Unit};
 
@@ -270,51 +270,49 @@ impl PhysMemory {
     /// as an unmaterialized one: materialization and frame sharing are
     /// implementation artifacts, not guest-visible state.
     pub fn digest_into(&self, d: &mut Digest) {
-        let mut nonzero = 0u64;
-        for (pfn, frame) in self.slots() {
-            if let Some(frame) = frame {
-                if !is_zero(frame) {
-                    nonzero += 1;
-                    d.write_u64(pfn as u64);
-                    d.write_bytes(&frame[..]);
-                }
-            }
-        }
-        d.write_u64(nonzero);
-        d.write_u64(self.next_free_pfn);
-        match self.frame_limit {
-            Some(limit) => {
-                d.write_u8(1);
-                d.write_u64(limit);
-            }
-            None => d.write_u8(0),
-        }
+        let Ok(()) = self.walk(self, d);
     }
 
-    /// Compares what [`Self::digest_into`] feeds, in its order: frame
-    /// contents (an absent frame equals an all-zero one, and a block or
-    /// frame both sides share is equal unread), the allocator cursor and
-    /// the frame limit. A frame difference names the frame and the 8-byte
-    /// word holding the first differing byte.
+    /// The field list behind [`Self::digest_into`] and a space's `diff`:
+    /// frame contents (an absent frame equals an all-zero one, and a block
+    /// or frame both sides share is equal unread), the allocator cursor
+    /// and the frame limit. A frame difference names the frame and the
+    /// 8-byte word holding the first differing byte.
     ///
     /// Two memories of one lineage (see [`crate::stamp`]) differ only in
     /// what either one marked, so of a block they do not share only the
     /// marked slots are read, and of two frames there only the marked
     /// lines; under `debug_assertions` the verdict is checked against
     /// reading every slot.
-    pub(crate) fn compare(&self, other: &PhysMemory) -> Result<(), Divergence> {
-        if self.stamp.same_lineage(&other.stamp) {
-            let verdict = self.compare_frames(other, true);
-            debug_assert_eq!(verdict, self.compare_frames(other, false));
-            verdict?;
-        } else {
-            self.compare_frames(other, false)?;
-        }
-        same("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
-        same_opt("frame_limit", self.frame_limit, other.frame_limit)
+    pub(crate) fn walk<W: Walk>(&self, other: &PhysMemory, w: &mut W) -> Result<(), W::Stop> {
+        w.part(
+            |d| {
+                let mut nonzero = 0u64;
+                for (pfn, frame) in self.slots() {
+                    if let Some(frame) = frame {
+                        if !is_zero(frame) {
+                            nonzero += 1;
+                            d.write_u64(pfn as u64);
+                            d.write_bytes(&frame[..]);
+                        }
+                    }
+                }
+                d.write_u64(nonzero);
+            },
+            || {
+                if !self.stamp.same_lineage(&other.stamp) {
+                    return self.compare_frames(other, false);
+                }
+                let verdict = self.compare_frames(other, true);
+                debug_assert_eq!(verdict, self.compare_frames(other, false));
+                verdict
+            },
+        )?;
+        w.word("next_free_pfn", self.next_free_pfn, other.next_free_pfn)?;
+        w.opt("frame_limit", self.frame_limit, other.frame_limit)
     }
 
-    /// The frame part of [`Self::compare`]: over the marked slots and
+    /// The frame part of [`Self::walk`]'s comparison: over the marked slots and
     /// lines when `lineage` holds, over everything otherwise.
     fn compare_frames(&self, other: &PhysMemory, lineage: bool) -> Result<(), Divergence> {
         for (i, (a, b)) in self.blocks.iter().zip(&other.blocks).enumerate() {
@@ -487,7 +485,7 @@ fn is_zero(frame: &[u8; PAGE_SIZE as usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::Mutation;
+    use crate::diff::{Compare, Mutation};
 
     #[test]
     fn alloc_returns_distinct_zeroed_frames() {
@@ -1014,9 +1012,9 @@ mod tests {
     /// Both state-equality oracles at once: `compare`'s verdict, which
     /// must agree with digest equality in both directions.
     fn verdict(a: &PhysMemory, b: &PhysMemory) -> Option<Divergence> {
-        let d = a.compare(b).err();
+        let d = a.walk(b, &mut Compare).err();
         assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
-        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        assert_eq!(d.is_none(), b.walk(a, &mut Compare).is_ok(), "{d:?}");
         d
     }
 

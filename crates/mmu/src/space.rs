@@ -24,7 +24,7 @@
 
 use crate::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use crate::cache::{CacheHierarchy, CacheStats, HitLevel};
-use crate::diff::{same, Divergence};
+use crate::diff::{Compare, Divergence, Walk};
 use crate::ept::{EptAccess, EptSet, EptViolation};
 use crate::phys::PhysMemory;
 use crate::pkey::Pkru;
@@ -864,23 +864,7 @@ impl AddressSpace {
     /// from) the fields above, so two spaces differing only in that
     /// state are observationally identical.
     pub fn digest_into(&self, d: &mut crate::digest::Digest) {
-        self.pm.digest_into(d);
-        self.cache.digest_into(d);
-        self.tlb.digest_into(d);
-        d.write_u64(self.views.len() as u64);
-        for view in &self.views {
-            d.write_u64(view.root().0);
-        }
-        d.write_u64(self.active_view as u64);
-        d.write_u64(self.pkru.0 as u64);
-        match &self.ept {
-            Some(ept) => {
-                d.write_u8(1);
-                ept.digest_into(d);
-            }
-            None => d.write_u8(0),
-        }
-        d.write_u64(self.mprotect_calls);
+        let Ok(()) = self.walk(self, d);
     }
 
     /// Compares `self` with `other` component by component and names the
@@ -900,28 +884,30 @@ impl AddressSpace {
     /// from a common snapshot costs only what each wrote since and the
     /// TLB's 64 entries.
     pub fn diff(&self, other: &AddressSpace) -> Option<Divergence> {
-        self.compare(other).err()
+        self.walk(other, &mut Compare).err()
     }
 
-    fn compare(&self, other: &AddressSpace) -> Result<(), Divergence> {
-        self.pm.compare(&other.pm)?;
-        self.cache.compare(&other.cache)?;
-        self.tlb.compare(&other.tlb)?;
-        same("views", self.views.len() as u64, other.views.len() as u64)?;
+    /// The one field list behind [`Self::digest_into`] and [`Self::diff`],
+    /// in their order, for a machine's walk to take in whole.
+    pub fn walk<W: Walk>(&self, other: &AddressSpace, w: &mut W) -> Result<(), W::Stop> {
+        self.pm.walk(&other.pm, w)?;
+        self.cache.walk(&other.cache, w)?;
+        self.tlb.walk(&other.tlb, w)?;
+        w.word("views", self.views.len() as u64, other.views.len() as u64)?;
         for (i, (a, b)) in self.views.iter().zip(&other.views).enumerate() {
-            same(format_args!("view {i} root"), a.root().0, b.root().0)?;
+            w.word(format_args!("view {i} root"), a.root().0, b.root().0)?;
         }
-        same(
+        w.word(
             "active view",
             self.active_view.into(),
             other.active_view.into(),
         )?;
-        same("pkru", self.pkru.0.into(), other.pkru.0.into())?;
-        match (&self.ept, &other.ept) {
-            (Some(a), Some(b)) => a.compare(b)?,
-            (a, b) => same("EPT set", a.is_some() as u64, b.is_some() as u64)?,
+        w.word("pkru", self.pkru.0.into(), other.pkru.0.into())?;
+        w.flag("EPT set", self.ept.is_some(), other.ept.is_some())?;
+        if let (Some(a), Some(b)) = (&self.ept, &other.ept) {
+            a.walk(b, w)?;
         }
-        same("mprotect calls", self.mprotect_calls, other.mprotect_calls)
+        w.word("mprotect calls", self.mprotect_calls, other.mprotect_calls)
     }
 
     // --- snapshot/restore support ------------------------------------------

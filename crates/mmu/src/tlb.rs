@@ -7,7 +7,7 @@
 //! using the PCID feature" alternative of paper §3.1). The TLB is modeled
 //! explicitly and its hit/miss counts feed the cycle cost model.
 
-use crate::diff::{same, Divergence};
+use crate::diff::{same, Divergence, Walk};
 use crate::digest::Digest;
 use crate::pte::Pte;
 use crate::stamp::Stamp;
@@ -171,29 +171,41 @@ impl Tlb {
     /// `(slot, pcid, vpn, pte)` plus the statistics. Invalid slots digest
     /// identically regardless of the stale tag bits they retain.
     pub fn digest_into(&self, d: &mut Digest) {
-        for (slot, e) in self.entries.iter().enumerate() {
-            if e.valid {
-                d.write_u64(slot as u64);
-                d.write_u64(e.pcid as u64);
-                d.write_u64(e.vpn);
-                d.write_u64(e.pte.0);
-            }
-        }
-        d.write_u64(self.stats.hits);
-        d.write_u64(self.stats.misses);
-        d.write_u64(self.stats.flushes);
-        d.write_u64(self.stats.page_flushes);
+        let Ok(()) = self.walk(self, d);
     }
 
-    /// Compares what [`Self::digest_into`] feeds: which slots are valid,
-    /// each valid entry's tag and PTE (stale bits of invalid slots are
-    /// never looked at), then the statistics. All 64 entries are read;
+    /// The field list behind [`Self::digest_into`] and a space's `diff`:
+    /// the entries, then the statistics. The entries compare by which
+    /// slots are valid, then each valid entry's tag and PTE (stale bits
+    /// of invalid slots are never looked at). All 64 entries are read;
     /// the stamp plays no part.
-    pub(crate) fn compare(&self, other: &Tlb) -> Result<(), Divergence> {
+    pub(crate) fn walk<W: Walk>(&self, other: &Tlb, w: &mut W) -> Result<(), W::Stop> {
+        w.part(
+            |d| {
+                for (slot, e) in self.entries.iter().enumerate() {
+                    if e.valid {
+                        d.write_u64(slot as u64);
+                        d.write_u64(e.pcid as u64);
+                        d.write_u64(e.vpn);
+                        d.write_u64(e.pte.0);
+                    }
+                }
+            },
+            || self.compare_entries(other),
+        )?;
+        let (a, b) = (self.stats, other.stats);
+        w.word("TLB hits", a.hits, b.hits)?;
+        w.word("TLB misses", a.misses, b.misses)?;
+        w.word("TLB flushes", a.flushes, b.flushes)?;
+        w.word("TLB page flushes", a.page_flushes, b.page_flushes)
+    }
+
+    /// The entries part of [`Self::walk`]'s comparison.
+    fn compare_entries(&self, other: &Tlb) -> Result<(), Divergence> {
         let equal = |(a, b): (&TlbEntry, &TlbEntry)| {
             a.valid == b.valid && (!a.valid || (a.pcid, a.vpn, a.pte.0) == (b.pcid, b.vpn, b.pte.0))
         };
-        if self.stats == other.stats && self.entries.iter().zip(&other.entries).all(equal) {
+        if self.entries.iter().zip(&other.entries).all(equal) {
             return Ok(());
         }
         for (slot, (a, b)) in self.entries.iter().zip(&other.entries).enumerate() {
@@ -212,11 +224,7 @@ impl Tlb {
                 same(format_args!("TLB slot {slot} pte"), a.pte.0, b.pte.0)?;
             }
         }
-        let (a, b) = (self.stats, other.stats);
-        same("TLB hits", a.hits, b.hits)?;
-        same("TLB misses", a.misses, b.misses)?;
-        same("TLB flushes", a.flushes, b.flushes)?;
-        same("TLB page flushes", a.page_flushes, b.page_flushes)
+        Ok(())
     }
 
     /// Copies `src`'s entries and statistics into `self` without
@@ -244,7 +252,7 @@ impl Tlb {
 mod tests {
     use super::*;
     use crate::addr::PhysAddr;
-    use crate::diff::Mutation;
+    use crate::diff::{Compare, Mutation};
     use crate::pte::PageFlags;
 
     fn pte() -> Pte {
@@ -351,9 +359,9 @@ mod tests {
     /// Both state-equality oracles at once: `compare`'s verdict, which
     /// must agree with digest equality in both directions.
     fn verdict(a: &Tlb, b: &Tlb) -> Option<Divergence> {
-        let d = a.compare(b).err();
+        let d = a.walk(b, &mut Compare).err();
         assert_eq!(d.is_none(), digest(a) == digest(b), "{d:?}");
-        assert_eq!(d.is_none(), b.compare(a).is_ok(), "{d:?}");
+        assert_eq!(d.is_none(), b.walk(a, &mut Compare).is_ok(), "{d:?}");
         d
     }
 

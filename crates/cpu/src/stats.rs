@@ -85,26 +85,25 @@ impl ExecStats {
             dropped_events,
             cycles,
         } = *self;
-        let o = other;
         for (name, a, b) in [
-            ("instructions", instructions, o.instructions),
-            ("loads", loads, o.loads),
-            ("stores", stores, o.stores),
-            ("calls", calls, o.calls),
-            ("indirect_calls", indirect_calls, o.indirect_calls),
-            ("rets", rets, o.rets),
-            ("syscalls", syscalls, o.syscalls),
-            ("vmcalls", vmcalls, o.vmcalls),
-            ("vmfuncs", vmfuncs, o.vmfuncs),
-            ("wrpkrus", wrpkrus, o.wrpkrus),
-            ("bound_checks", bound_checks, o.bound_checks),
-            ("aes_chunks", aes_chunks, o.aes_chunks),
-            ("allocator_calls", allocator_calls, o.allocator_calls),
-            ("sgx_transitions", sgx_transitions, o.sgx_transitions),
-            ("signals", signals, o.signals),
-            ("preemptions", preemptions, o.preemptions),
-            ("dropped_events", dropped_events, o.dropped_events),
-            ("cycles", cycles.to_bits(), o.cycles.to_bits()),
+            ("instructions", instructions, other.instructions),
+            ("loads", loads, other.loads),
+            ("stores", stores, other.stores),
+            ("calls", calls, other.calls),
+            ("indirect_calls", indirect_calls, other.indirect_calls),
+            ("rets", rets, other.rets),
+            ("syscalls", syscalls, other.syscalls),
+            ("vmcalls", vmcalls, other.vmcalls),
+            ("vmfuncs", vmfuncs, other.vmfuncs),
+            ("wrpkrus", wrpkrus, other.wrpkrus),
+            ("bound_checks", bound_checks, other.bound_checks),
+            ("aes_chunks", aes_chunks, other.aes_chunks),
+            ("allocator_calls", allocator_calls, other.allocator_calls),
+            ("sgx_transitions", sgx_transitions, other.sgx_transitions),
+            ("signals", signals, other.signals),
+            ("preemptions", preemptions, other.preemptions),
+            ("dropped_events", dropped_events, other.dropped_events),
+            ("cycles", cycles.to_bits(), other.cycles.to_bits()),
         ] {
             w.word(format_args!("stats.{name}"), a, b)?;
         }

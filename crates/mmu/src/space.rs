@@ -869,14 +869,11 @@ impl AddressSpace {
 
     /// Compares `self` with `other` component by component and names the
     /// first that differs, or `None` when the two are observationally
-    /// identical. It covers exactly what [`Self::digest_into`] feeds, in
-    /// its order: physical memory (an absent frame equals an all-zero
-    /// one), the cache hierarchy's live ways and counters, the valid TLB
-    /// entries and TLB counters, the view roots, the active view, PKRU,
-    /// the EPTP list and the `mprotect` counter. Like the digest it
-    /// ignores the translation memo, the mutation generation, the
-    /// fast-path hit counters and the lineage stamps and write marks.
-    /// Blocks of frame slots, frames and cache chunks both spaces share
+    /// identical. It walks the one field list [`Self::digest_into`]
+    /// feeds, so it covers and ignores exactly what the digest does, in
+    /// its order (an absent frame equals an all-zero one, and invalid TLB
+    /// slots and stale cache tags are never read); the lineage stamps and
+    /// write marks play no part either. Blocks of frame slots, frames and cache chunks both spaces share
     /// copy-on-write are equal without a look at their contents. Where
     /// both spaces' memory or cache level descend from one snapshot (the
     /// stamps of `mmu/src/stamp.rs`), only the lines and sets either one
